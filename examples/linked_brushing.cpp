@@ -5,7 +5,8 @@
 //
 // The second half shows the same interaction over *retained plans* with
 // PlanCrossfilter: any view shape (here an aggregate-over-aggregate rollup)
-// participates in linked brushing via Trace∘Trace plan nodes.
+// participates in linked brushing through its lineage on the shared
+// relation (one backward lookup, then a forward probe per view).
 //
 //   $ ./example_linked_brushing
 #include <cstdio>

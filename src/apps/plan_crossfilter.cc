@@ -1,8 +1,54 @@
 #include "apps/plan_crossfilter.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
+#include "common/hash.h"
+
 namespace smoke {
+
+namespace {
+
+/// The lineage of `view` on `relation`.
+Status RelationLineage(const PlanResult& view, const std::string& name,
+                       const std::string& relation, const TableLineage** out) {
+  int idx = view.lineage.FindInput(relation);
+  if (idx < 0) {
+    return Status::NotFound("view '" + name + "' has no lineage on '" +
+                            relation + "'");
+  }
+  *out = &view.lineage.input(static_cast<size_t>(idx));
+  return Status::OK();
+}
+
+/// The error for a lineage index the brush needs but `view` lacks.
+Status MissingIndex(const PlanResult& view, const std::string& name,
+                    const std::string& relation, const char* direction) {
+  return Status::InvalidArgument(
+      std::string(direction) + " lineage of view '" + name + "' on '" +
+      relation + "' was " +
+      (view.lineage.evicted() ? "evicted under the lineage memory budget"
+                              : "not captured"));
+}
+
+/// Drops repeated rids, keeping first occurrences in order. Sized by the
+/// list, not by the rid universe.
+void DedupFirstOccurrence(std::vector<rid_t>* rids) {
+  // Lists captured in scan order are strictly increasing: already a set.
+  if (std::adjacent_find(rids->begin(), rids->end(),
+                         std::greater_equal<rid_t>()) == rids->end()) {
+    return;
+  }
+  IntKeyMap seen(rids->size());
+  size_t kept = 0;
+  for (rid_t r : *rids) {
+    if (seen.FindOrInsert(r, 0) == IntKeyMap::kNotFound) (*rids)[kept++] = r;
+  }
+  rids->resize(kept);
+}
+
+}  // namespace
 
 Status PlanCrossfilter::AddView(std::string name, const LogicalPlan& plan,
                                 const CaptureOptions& opts) {
@@ -12,14 +58,9 @@ Status PlanCrossfilter::AddView(std::string name, const LogicalPlan& plan,
   View v;
   v.name = std::move(name);
   SMOKE_RETURN_NOT_OK(ExecutePlan(plan, opts, &v.result));
-  int idx = v.result.lineage.FindInput(relation_);
-  if (idx < 0) {
-    return Status::InvalidArgument("view '" + v.name +
-                                   "' has no lineage on shared relation '" +
-                                   relation_ + "'");
-  }
-  const TableLineage& tl = v.result.lineage.input(static_cast<size_t>(idx));
-  if (tl.backward.empty() || tl.forward.empty()) {
+  const TableLineage* tl = nullptr;
+  SMOKE_RETURN_NOT_OK(RelationLineage(v.result, v.name, relation_, &tl));
+  if (tl->backward.empty() || tl->forward.empty()) {
     return Status::InvalidArgument(
         "view '" + v.name +
         "' must capture backward and forward lineage on '" + relation_ + "'");
@@ -51,35 +92,83 @@ const PlanCrossfilter::View* PlanCrossfilter::Find(
   return nullptr;
 }
 
+Status BrushSeeds(const PlanResult& from, const std::string& from_name,
+                  rid_t out_rid, const std::string& relation,
+                  std::vector<rid_t>* seeds) {
+  const TableLineage* tl = nullptr;
+  SMOKE_RETURN_NOT_OK(RelationLineage(from, from_name, relation, &tl));
+  if (tl->backward.empty()) {
+    return MissingIndex(from, from_name, relation, "backward");
+  }
+  if (out_rid >= tl->backward.size()) {
+    return Status::InvalidArgument(
+        "output rid " + std::to_string(out_rid) + " out of range [0, " +
+        std::to_string(tl->backward.size()) + ") for view '" + from_name +
+        "'");
+  }
+  seeds->clear();
+  tl->backward.TraceInto(out_rid, seeds);
+  DedupFirstOccurrence(seeds);
+  return Status::OK();
+}
+
+Status LinkBrushSeeds(const std::vector<rid_t>& seeds,
+                      const std::string& relation, const PlanResult& to,
+                      const std::string& to_name, LinkedBrush* out) {
+  const TableLineage* tl = nullptr;
+  SMOKE_RETURN_NOT_OK(RelationLineage(to, to_name, relation, &tl));
+  const LineageIndex& fw = tl->forward;
+  if (fw.empty()) return MissingIndex(to, to_name, relation, "forward");
+
+  const Table& view = to.output;
+  const size_t num_out = view.num_rows();
+  // Output row -> position in out->rids; the one pass over the target's
+  // output cardinality.
+  std::vector<uint32_t> pos(num_out, UINT32_MAX);
+  out->rids.clear();
+  out->counts.clear();
+  rid_t bad_target = kInvalidRid;
+  for (rid_t seed : seeds) {
+    if (seed >= fw.size()) {
+      return Status::InvalidArgument(
+          "base rid " + std::to_string(seed) + " out of range [0, " +
+          std::to_string(fw.size()) + ") for the forward lineage of view '" +
+          to_name + "'");
+    }
+    fw.ForEachRelated(seed, [&](rid_t t) {
+      if (t == kInvalidRid) return;
+      if (t >= num_out) {
+        bad_target = t;
+        return;
+      }
+      if (pos[t] == UINT32_MAX) {
+        pos[t] = static_cast<uint32_t>(out->rids.size());
+        out->rids.push_back(t);
+        out->counts.push_back(0);
+      }
+      out->counts[pos[t]]++;
+    });
+    if (bad_target != kInvalidRid) {
+      return Status::InvalidArgument(
+          "linked rid " + std::to_string(bad_target) + " out of range [0, " +
+          std::to_string(num_out) + ") for view '" + to_name + "'");
+    }
+  }
+
+  Table rows(view.schema());
+  rows.Reserve(out->rids.size());
+  for (rid_t r : out->rids) rows.AppendRowFrom(view, r);
+  out->rows = std::move(rows);
+  return Status::OK();
+}
+
 Status BrushLinkedPlans(const PlanResult& from, const std::string& from_name,
                         rid_t out_rid, const std::string& relation,
                         const PlanResult& to, const std::string& to_name,
-                        const CaptureOptions& opts, LinkedBrush* out) {
-  // Trace∘Trace as a plan: backward to the shared relation, forward into
-  // the target view, with the target's own lineage composed back to the
-  // relation so witness counts fall out of the backward lists.
-  PlanResult pr;
-  SMOKE_RETURN_NOT_OK(
-      TraceBuilder::Backward(TraceSource::FromPlan(from, from_name), relation,
-                             {out_rid})
-          .ThenForward(TraceSource::FromPlan(to, to_name))
-          .Execute(opts, &pr));
-
-  SMOKE_RETURN_NOT_OK(SplitTraceRows(pr.output, &out->rids, &out->rows));
-
-  int rel = pr.lineage.FindInput(relation);
-  if (rel < 0) {
-    return Status::InvalidArgument("brush trace lost relation lineage");
-  }
-  const LineageIndex& bw = pr.lineage.input(static_cast<size_t>(rel)).backward;
-  out->counts.assign(out->rids.size(), 0);
-  std::vector<rid_t> tmp;
-  for (size_t p = 0; p < out->rids.size(); ++p) {
-    tmp.clear();
-    bw.TraceInto(static_cast<rid_t>(p), &tmp);
-    out->counts[p] = static_cast<int64_t>(tmp.size());
-  }
-  return Status::OK();
+                        const CaptureOptions& /*opts*/, LinkedBrush* out) {
+  std::vector<rid_t> seeds;
+  SMOKE_RETURN_NOT_OK(BrushSeeds(from, from_name, out_rid, relation, &seeds));
+  return LinkBrushSeeds(seeds, relation, to, to_name, out);
 }
 
 Status PlanCrossfilter::Brush(const std::string& view, rid_t out_rid,
@@ -88,12 +177,14 @@ Status PlanCrossfilter::Brush(const std::string& view, rid_t out_rid,
   if (from == nullptr) return Status::NotFound("view '" + view + "'");
   out->clear();
 
+  std::vector<rid_t> seeds;
+  SMOKE_RETURN_NOT_OK(
+      BrushSeeds(from->result, from->name, out_rid, relation_, &seeds));
   for (const View& to : views_) {
     if (&to == from) continue;
     Linked linked;
-    SMOKE_RETURN_NOT_OK(BrushLinkedPlans(from->result, from->name, out_rid,
-                                         relation_, to.result, to.name,
-                                         CaptureOptions::Inject(), &linked));
+    SMOKE_RETURN_NOT_OK(
+        LinkBrushSeeds(seeds, relation_, to.result, to.name, &linked));
     (*out)[to.name] = std::move(linked);
   }
   return Status::OK();

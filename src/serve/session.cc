@@ -42,14 +42,16 @@ Status ServeSession::Brush(const std::string& view, rid_t out_rid,
   // queued batch capture morsels, and the session's own thread co-executes,
   // so a saturated pool can only slow a brush, never park it.
   core_->pool().Run(TaskClass::kInteractive, [&] {
+    std::vector<rid_t> seeds;  // decoded once, linked into every view
+    st = BrushSeeds(*from, view, out_rid, core_->relation(), &seeds);
+    if (!st.ok()) return;
     for (const std::string& name : snap->views) {
       if (name == view) continue;
       const PlanResult* to = nullptr;
       st = snap->engine.GetPlanResult(name, &to);
       if (!st.ok()) return;
       LinkedBrush linked;
-      st = BrushLinkedPlans(*from, view, out_rid, core_->relation(), *to,
-                            name, CaptureOptions::Inject(), &linked);
+      st = LinkBrushSeeds(seeds, core_->relation(), *to, name, &linked);
       if (!st.ok()) return;
       out->views.emplace(name, std::move(linked));
     }

@@ -47,9 +47,11 @@ class ServeSession {
   };
 
   /// Brushes output row `out_rid` of `view` into every other view of the
-  /// current snapshot (Trace∘Trace through the core's shared relation).
-  /// Runs as one interactive-class job on the core's admission pool, so it
-  /// preempts in-flight batch captures at morsel granularity.
+  /// current snapshot through the core's shared relation: one backward
+  /// decode (BrushSeeds), then one forward probe pass per view
+  /// (LinkBrushSeeds). Runs as one interactive-class job on the core's
+  /// admission pool, so it preempts in-flight batch captures at morsel
+  /// granularity. A failed brush leaves the session's stats unchanged.
   Status Brush(const std::string& view, rid_t out_rid, BrushResult* out)
       SMOKE_EXCLUDES(mu_);
 
