@@ -149,35 +149,43 @@ void Run(const bench::Options& opts) {
     // (SELECT * FROM Lb(o) WHERE v > 50). With the rewriter on, the
     // predicate is pushed into the Trace node (evaluated during the index
     // scan, dropped rows never materialized); off executes the literal
-    // Trace → Select plan. Both rows land in the JSON log so CI diffs the
-    // rewriter's effect on the lineage-query path.
+    // Trace → Select plan. capture=inject also captures the trace's own
+    // lineage (what typed handles and consuming queries run); its cost
+    // follows the traced rids, so it must stay below Lazy. All rows land
+    // in the JSON log so CI diffs the rewriter's effect on the
+    // lineage-query path.
     TraceSource src;
     src.lineage = &res.lineage;
     src.output = &res.output;
     src.name = "zipf_view";
     const size_t plan_samples = std::min<size_t>(num_groups, 100);
-    for (bool optimize : {true, false}) {
-      std::vector<LineageQuery> queries(plan_samples);
-      for (size_t i = 0; i < plan_samples; ++i) {
-        rid_t g = static_cast<rid_t>(i * (num_groups / plan_samples));
-        TraceBuilder tb = TraceBuilder::Backward(src, "zipf", {g});
-        tb.Filter(Predicate::Double(zipf_table::kV, CmpOp::kGt, 50.0));
-        tb.Optimize(optimize);
-        SMOKE_CHECK(tb.Compile(&queries[i]).ok());
+    for (bool capture : {false, true}) {
+      const CaptureOptions plan_opts =
+          capture ? CaptureOptions::Inject() : CaptureOptions::None();
+      for (bool optimize : {true, false}) {
+        std::vector<LineageQuery> queries(plan_samples);
+        for (size_t i = 0; i < plan_samples; ++i) {
+          rid_t g = static_cast<rid_t>(i * (num_groups / plan_samples));
+          TraceBuilder tb = TraceBuilder::Backward(src, "zipf", {g});
+          tb.Filter(Predicate::Double(zipf_table::kV, CmpOp::kGt, 50.0));
+          tb.Optimize(optimize);
+          SMOKE_CHECK(tb.Compile(&queries[i]).ok());
+        }
+        timer.Start();
+        for (const LineageQuery& q : queries) {
+          PlanResult pr;
+          SMOKE_CHECK(q.Execute(plan_opts, &pr).ok());
+          sink += static_cast<double>(pr.output.num_rows());
+        }
+        double plan_mean =
+            timer.ElapsedMs() / static_cast<double>(plan_samples);
+        bench::Row("fig09",
+                   "theta=" + bench::F(theta) +
+                       ",mode=Smoke-L-plan,optimizer=" +
+                       (optimize ? "on" : "off") +
+                       ",capture=" + (capture ? "inject" : "none") +
+                       ",mean_ms_per_query=" + bench::F(plan_mean));
       }
-      timer.Start();
-      for (const LineageQuery& q : queries) {
-        PlanResult pr;
-        SMOKE_CHECK(q.Execute(CaptureOptions::None(), &pr).ok());
-        sink += static_cast<double>(pr.output.num_rows());
-      }
-      double plan_mean =
-          timer.ElapsedMs() / static_cast<double>(plan_samples);
-      bench::Row("fig09",
-                 "theta=" + bench::F(theta) +
-                     ",mode=Smoke-L-plan,optimizer=" +
-                     (optimize ? "on" : "off") +
-                     ",mean_ms_per_query=" + bench::F(plan_mean));
     }
     (void)sink;
   }

@@ -1,10 +1,8 @@
 #include "apps/plan_crossfilter.h"
 
-#include <algorithm>
-#include <functional>
 #include <utility>
 
-#include "common/hash.h"
+#include "query/lineage_query.h"
 
 namespace smoke {
 
@@ -30,22 +28,6 @@ Status MissingIndex(const PlanResult& view, const std::string& name,
       relation + "' was " +
       (view.lineage.evicted() ? "evicted under the lineage memory budget"
                               : "not captured"));
-}
-
-/// Drops repeated rids, keeping first occurrences in order. Sized by the
-/// list, not by the rid universe.
-void DedupFirstOccurrence(std::vector<rid_t>* rids) {
-  // Lists captured in scan order are strictly increasing: already a set.
-  if (std::adjacent_find(rids->begin(), rids->end(),
-                         std::greater_equal<rid_t>()) == rids->end()) {
-    return;
-  }
-  IntKeyMap seen(rids->size());
-  size_t kept = 0;
-  for (rid_t r : *rids) {
-    if (seen.FindOrInsert(r, 0) == IntKeyMap::kNotFound) (*rids)[kept++] = r;
-  }
-  rids->resize(kept);
 }
 
 }  // namespace

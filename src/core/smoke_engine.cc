@@ -479,11 +479,8 @@ Status SmokeEngine::TraceBackward(const std::string& query_name,
       pr.output_cardinality = rids.size();
       TableLineage& tl = pr.lineage.AddInput(relation, fact);
       tl.backward = LineageIndex::FromArray(RidArray(rids));
-      RidIndex fw(fact->num_rows());
-      for (size_t i = 0; i < rids.size(); ++i) {
-        fw.Append(rids[i], static_cast<rid_t>(i));
-      }
-      tl.forward = LineageIndex::FromIndex(std::move(fw));
+      SMOKE_RETURN_NOT_OK(
+          TracedForwardIndex(rids, fact->num_rows(), &tl.forward));
       pr.lineage.set_output_cardinality(rids.size());
       out->plan = std::move(pr);
       return Status::OK();
@@ -578,7 +575,6 @@ Status SmokeEngine::Backward(const std::string& query_name,
     // semantics restrict lineage on purpose, so a lazy answer would be
     // silently wrong; they keep returning the "not captured" error.)
     const RetainedQuery& rq = *queries_.at(query_name);
-    std::vector<uint8_t> seen(dedup ? rq.query.fact->num_rows() : 0, 0);
     rids->clear();
     for (rid_t oid : out_rids) {
       if (oid >= rq.result.output.num_rows()) {
@@ -586,14 +582,11 @@ Status SmokeEngine::Backward(const std::string& query_name,
             "output rid " + std::to_string(oid) + " out of range [0, " +
             std::to_string(rq.result.output.num_rows()) + ")");
       }
-      for (rid_t r : LazyBackwardRids(rq.query, rq.result.output, oid)) {
-        if (dedup) {
-          if (seen[r]) continue;
-          seen[r] = 1;
-        }
-        rids->push_back(r);
-      }
+      const std::vector<rid_t> lazy =
+          LazyBackwardRids(rq.query, rq.result.output, oid);
+      rids->insert(rids->end(), lazy.begin(), lazy.end());
     }
+    if (dedup) DedupFirstOccurrence(rids);
     return Status::OK();
   }
   // Sharded retained plans: when the seed set is selective enough that the

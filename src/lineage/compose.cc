@@ -16,11 +16,16 @@ inline void AppendInner(const LineageIndex& inner, rid_t mid, RidVec* list) {
   inner.ForEachRelated(mid, [list](rid_t r) { list->PushBack(r); });
 }
 
-/// Sorts and deduplicates `scratch` into `list` (forward set semantics).
-inline void SortedUniqueInto(std::vector<rid_t>* scratch, RidVec* list) {
+/// Sorts and deduplicates `scratch` (forward set semantics).
+inline void SortUnique(std::vector<rid_t>* scratch) {
   std::sort(scratch->begin(), scratch->end());
   scratch->erase(std::unique(scratch->begin(), scratch->end()),
                  scratch->end());
+}
+
+/// Sorts and deduplicates `scratch` into `list`.
+inline void SortedUniqueInto(std::vector<rid_t>* scratch, RidVec* list) {
+  SortUnique(scratch);
   list->Reserve(scratch->size());
   for (rid_t r : *scratch) list->PushBack(r);
 }
@@ -65,8 +70,24 @@ LineageIndex ComposeForward(const LineageIndex& inner,
     return LineageIndex::FromArray(std::move(out));
   }
 
-  RidIndex out(n);
   std::vector<rid_t> scratch;
+  if (inner.kind() == LineageIndex::Kind::kSparseIndex) {
+    // Only the populated inputs can reach an output: walk those, so the
+    // cost and the (sparse) result follow the traced rids, not n.
+    const SparseRidIndex& in = inner.sparse_index();
+    SparseRidIndex out(n);
+    for (size_t k = 0; k < in.num_keys(); ++k) {
+      scratch.clear();
+      for (const rid_t* mid = in.begin(k); mid != in.end(k); ++mid) {
+        outer.TraceInto(*mid, &scratch);
+      }
+      SortUnique(&scratch);
+      out.AppendList(in.key(k), scratch.data(), scratch.size());
+    }
+    return LineageIndex::FromSparseIndex(std::move(out));
+  }
+
+  RidIndex out(n);
   for (size_t i = 0; i < n; ++i) {
     scratch.clear();
     inner.ForEachRelated(static_cast<rid_t>(i), [&outer, &scratch](rid_t mid) {

@@ -3,9 +3,12 @@
 // one end-to-end index per base relation, so lineage queries over the plan
 // output remain single secondary-index scans.
 //
-// Composition is defined over the two physical index forms:
-//   RidArray ∘ RidArray  -> RidArray   (1:1 through 1:1 stays 1:1)
-//   RidArray ∘ RidIndex, RidIndex ∘ RidArray, RidIndex ∘ RidIndex -> RidIndex
+// Composition over the physical index forms:
+//   RidArray ∘ RidArray    -> RidArray        (1:1 through 1:1 stays 1:1)
+//   forward, sparse inner  -> SparseRidIndex  (walks only the populated
+//                                              inputs: a trace's forward
+//                                              fragment composes in O(k))
+//   any other pairing      -> RidIndex
 //
 // Backward composition preserves duplicates (witness multiplicity — the
 // same property the monolithic SPJA block maintains); forward composition

@@ -86,6 +86,25 @@ RidIndex InvertBackwardArray(const RidArray& backward, size_t num_inputs) {
 
 // ---- incremental-refresh append builders ----
 
+namespace {
+
+/// Rewrites a sparse index in the dense raw form, which the 1:N builders
+/// grow in place. Only trace plans emit the sparse form and they are never
+/// refreshable, so this is a fallback, not a refresh path.
+void DensifySparse(LineageIndex* idx) {
+  if (idx->kind() != LineageIndex::Kind::kSparseIndex) return;
+  const SparseRidIndex& sp = idx->sparse_index();
+  RidIndex dense(sp.size());
+  for (size_t k = 0; k < sp.num_keys(); ++k) {
+    for (const rid_t* r = sp.begin(k); r != sp.end(k); ++r) {
+      dense.Append(sp.key(k), *r);
+    }
+  }
+  *idx = LineageIndex::FromIndex(std::move(dense));
+}
+
+}  // namespace
+
 void AppendArrayValue(LineageIndex* idx, rid_t v) {
   switch (idx->kind()) {
     case LineageIndex::Kind::kArray:
@@ -101,6 +120,7 @@ void AppendArrayValue(LineageIndex* idx, rid_t v) {
 
 void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
                      LineageCodec codec) {
+  DensifySparse(idx);
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex: {
       RidIndex& index = idx->mutable_index();
@@ -122,6 +142,7 @@ void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
 
 void AppendEmptyIndexLists(LineageIndex* idx, size_t count,
                            LineageCodec codec) {
+  DensifySparse(idx);
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex:
       idx->mutable_index().Resize(idx->mutable_index().size() + count);
@@ -137,6 +158,7 @@ void AppendEmptyIndexLists(LineageIndex* idx, size_t count,
 }
 
 void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n) {
+  DensifySparse(idx);
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex:
       idx->mutable_index().list(i).PushBackAll(d, n);
@@ -150,6 +172,7 @@ void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n) {
 }
 
 void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v) {
+  DensifySparse(idx);
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex: {
       RidVec& list = idx->mutable_index().list(i);

@@ -61,7 +61,8 @@ RidIndex InvertBackwardArray(const RidArray& backward, size_t num_inputs);
 // sorted mid-list insert, only occurs for static relations feeding a
 // group-by root). Each builder dispatches over the raw and encoded forms
 // of LineageIndex, so refresh works directly on store-encoded retained
-// indexes (encoded appends route through the PostingsBuilder encode path).
+// indexes (encoded appends route through the PostingsBuilder encode path;
+// a sparse index is rewritten densely first).
 
 /// Appends one trailing position to a 1:1 array (raw or encoded).
 void AppendArrayValue(LineageIndex* idx, rid_t v);

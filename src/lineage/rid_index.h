@@ -1,14 +1,19 @@
 // Lineage index representations (paper Section 3.1).
 //
-// Two physical forms:
+// Three raw physical forms:
 //  - RidArray: 1-to-1 relationships (e.g., selection backward/forward,
 //    group-by forward). Entry i holds the single rid related to rid i.
 //  - RidIndex: 1-to-N relationships (e.g., group-by backward, join forward).
 //    Entry i points to an rid array of related rids. Arrays start at
-//    capacity 10 and grow 1.5x (RidVec).
+//    capacity 10 and grow 1.5x (RidVec). Sized by the position count.
+//  - SparseRidIndex: 1-to-N relationships where few positions are
+//    populated (a trace's forward fragment: k traced rids of an N-row
+//    relation). Only the populated positions are stored, as sorted keys
+//    with CSR offsets into one value array, so it costs O(k), not O(N).
 #ifndef SMOKE_LINEAGE_RID_INDEX_H_
 #define SMOKE_LINEAGE_RID_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -75,12 +80,99 @@ class RidIndex {
   std::vector<RidVec> lists_;
 };
 
+/// \brief Sparse 1-to-N lineage: sorted distinct `keys`, CSR `offsets`
+/// (offsets[k]..offsets[k+1] bounds key k's values) and `values`.
+/// Positions without a key relate to nothing. `size()` is the full position
+/// count, so bounds checks against it behave as for the dense forms.
+class SparseRidIndex {
+ public:
+  SparseRidIndex() = default;
+  explicit SparseRidIndex(size_t num_positions) : size_(num_positions) {}
+
+  /// The inverse of `rids` (position i relates to rids[i]) over
+  /// `num_positions` positions: key r lists every i with rids[i] == r, in
+  /// ascending order. Every rid must be < num_positions. O(k) when `rids`
+  /// is ascending, O(k log k) otherwise.
+  static SparseRidIndex Invert(const std::vector<rid_t>& rids,
+                               size_t num_positions) {
+    SparseRidIndex s(num_positions);
+    const size_t k = rids.size();
+    s.keys_.reserve(k);
+    s.values_.reserve(k);
+    if (std::is_sorted(rids.begin(), rids.end())) {
+      for (size_t i = 0; i < k; ++i) {
+        s.PushEdge(rids[i], static_cast<rid_t>(i));
+      }
+      return s;
+    }
+    // (rid, position) packed into one word: sorting orders keys, and each
+    // key's positions ascending.
+    std::vector<uint64_t> edges(k);
+    for (size_t i = 0; i < k; ++i) {
+      edges[i] = (static_cast<uint64_t>(rids[i]) << 32) | i;
+    }
+    std::sort(edges.begin(), edges.end());
+    for (uint64_t e : edges) {
+      s.PushEdge(static_cast<rid_t>(e >> 32), static_cast<rid_t>(e));
+    }
+    return s;
+  }
+
+  size_t size() const { return size_; }
+  size_t num_keys() const { return keys_.size(); }
+  rid_t key(size_t k) const { return keys_[k]; }
+  const rid_t* begin(size_t k) const { return values_.data() + offsets_[k]; }
+  const rid_t* end(size_t k) const { return values_.data() + offsets_[k + 1]; }
+
+  /// The slot of position `pos` among the keys, or num_keys() when `pos`
+  /// relates to nothing.
+  size_t Find(rid_t pos) const {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), pos);
+    return it != keys_.end() && *it == pos
+               ? static_cast<size_t>(it - keys_.begin())
+               : keys_.size();
+  }
+
+  /// Appends the list of `pos`, which must exceed every key so far. Empty
+  /// lists store nothing.
+  void AppendList(rid_t pos, const rid_t* d, size_t n) {
+    SMOKE_DCHECK(pos < size_ && (keys_.empty() || pos > keys_.back()));
+    for (size_t j = 0; j < n; ++j) PushEdge(pos, d[j]);
+  }
+
+  size_t TotalEdges() const { return values_.size(); }
+
+  size_t MemoryBytes() const {
+    return keys_.capacity() * sizeof(rid_t) +
+           offsets_.capacity() * sizeof(uint32_t) +
+           values_.capacity() * sizeof(rid_t);
+  }
+
+ private:
+  /// Adds edge key -> v; keys arrive in non-decreasing order.
+  void PushEdge(rid_t key, rid_t v) {
+    if (keys_.empty() || keys_.back() != key) {
+      if (offsets_.empty()) offsets_.push_back(0);
+      keys_.push_back(key);
+      offsets_.push_back(offsets_.back());
+    }
+    values_.push_back(v);
+    ++offsets_.back();
+  }
+
+  size_t size_ = 0;
+  std::vector<rid_t> keys_;
+  std::vector<uint32_t> offsets_;
+  std::vector<rid_t> values_;
+};
+
 /// \brief Tagged union over the physical lineage forms, with a uniform
 /// trace interface. Direction and endpoint metadata live in QueryLineage.
 ///
-/// Two raw forms (write-optimized, what capture produces) and two encoded
-/// forms (read-optimized, what the compressed lineage store re-encodes
-/// retained indexes into at finalize time — lineage/store/). Consumers that
+/// Three raw forms (write-optimized, what capture and traces produce) and
+/// two encoded forms (read-optimized, what the compressed lineage store
+/// re-encodes retained indexes into at finalize time — lineage/store/; the
+/// sparse form is already output-sized and stays raw). Consumers that
 /// go through the uniform accessors (TraceInto / ForEachRelated / ValueAt)
 /// work over all forms without decompressing whole indexes.
 class LineageIndex {
@@ -91,6 +183,7 @@ class LineageIndex {
     kIndex,          ///< raw 1:N
     kEncodedArray,   ///< compressed 1:1 (lineage/store/rid_codec.h)
     kEncodedIndex,   ///< compressed 1:N posting lists
+    kSparseIndex,    ///< raw 1:N over the populated positions only
   };
 
   LineageIndex() = default;
@@ -104,6 +197,12 @@ class LineageIndex {
     LineageIndex idx;
     idx.kind_ = Kind::kIndex;
     idx.index_ = std::move(index);
+    return idx;
+  }
+  static LineageIndex FromSparseIndex(SparseRidIndex index) {
+    LineageIndex idx;
+    idx.kind_ = Kind::kSparseIndex;
+    idx.sparse_ = std::move(index);
     return idx;
   }
   static LineageIndex FromEncodedArray(EncodedRidArray array) {
@@ -137,6 +236,10 @@ class LineageIndex {
     SMOKE_DCHECK(kind_ == Kind::kIndex);
     return index_;
   }
+  const SparseRidIndex& sparse_index() const {
+    SMOKE_DCHECK(kind_ == Kind::kSparseIndex);
+    return sparse_;
+  }
   const EncodedRidArray& encoded_array() const {
     SMOKE_DCHECK(kind_ == Kind::kEncodedArray);
     return earray_;
@@ -163,6 +266,7 @@ class LineageIndex {
       case Kind::kIndex:        return index_.size();
       case Kind::kEncodedArray: return earray_.size();
       case Kind::kEncodedIndex: return epostings_.num_lists();
+      case Kind::kSparseIndex:  return sparse_.size();
       case Kind::kNone:         return 0;
     }
     return 0;
@@ -198,6 +302,12 @@ class LineageIndex {
       case Kind::kEncodedIndex:
         epostings_.ForEachInList(pos, f);
         break;
+      case Kind::kSparseIndex: {
+        const size_t k = sparse_.Find(pos);
+        if (k == sparse_.num_keys()) break;
+        for (const rid_t* r = sparse_.begin(k); r != sparse_.end(k); ++r) f(*r);
+        break;
+      }
       case Kind::kNone:
         break;
     }
@@ -227,6 +337,7 @@ class LineageIndex {
         return n;
       }
       case Kind::kEncodedIndex: return epostings_.TotalEdges();
+      case Kind::kSparseIndex:  return sparse_.TotalEdges();
       case Kind::kNone:         return 0;
     }
     return 0;
@@ -238,6 +349,7 @@ class LineageIndex {
       case Kind::kIndex:        return index_.MemoryBytes();
       case Kind::kEncodedArray: return earray_.MemoryBytes();
       case Kind::kEncodedIndex: return epostings_.MemoryBytes();
+      case Kind::kSparseIndex:  return sparse_.MemoryBytes();
       case Kind::kNone:         return 0;
     }
     return 0;
@@ -249,6 +361,7 @@ class LineageIndex {
   RidIndex index_;
   EncodedRidArray earray_;
   EncodedPostings epostings_;
+  SparseRidIndex sparse_;
 };
 
 }  // namespace smoke

@@ -7,6 +7,7 @@ namespace smoke {
 LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec) {
   switch (index.kind()) {
     case LineageIndex::Kind::kNone:
+    case LineageIndex::Kind::kSparseIndex:  // already output-sized
       return index;
     case LineageIndex::Kind::kArray:
       if (codec == LineageCodec::kRaw) return index;

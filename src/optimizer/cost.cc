@@ -100,8 +100,8 @@ bool LazyFeasible(const TraceSource& src, const std::string& relation,
 
 namespace {
 
-/// Prices a probe of `index` with `seeds`. Raw 1:N indexes are priced
-/// exactly (list sizes are O(1)); encoded forms use the average posting
+/// Prices a probe of `index` with `seeds`. Raw 1:N indexes (dense or
+/// sparse) are priced exactly; encoded forms use the average posting
 /// length with a decode penalty.
 StrategyCost CostIndexProbe(const LineageIndex& index,
                             const std::vector<rid_t>& seeds,
@@ -126,6 +126,15 @@ StrategyCost CostIndexProbe(const LineageIndex& index,
         c.note += ", first list " + std::to_string(rs.count) + " rids/" +
                   std::to_string(rs.runs) + " runs";
       }
+      break;
+    }
+    case LineageIndex::Kind::kSparseIndex: {
+      size_t edges = 0;
+      for (rid_t s : seeds) {
+        if (s < n) index.ForEachRelated(s, [&edges](rid_t) { ++edges; });
+      }
+      c.cost = static_cast<double>(edges);
+      c.note = "sparse postings, exact";
       break;
     }
     case LineageIndex::Kind::kArray:

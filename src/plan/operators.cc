@@ -5,6 +5,7 @@
 
 #include <utility>
 
+#include "common/hash.h"
 #include "engine/group_by.h"
 #include "engine/hash_join.h"
 #include "engine/select.h"
@@ -336,6 +337,55 @@ class SpjaBlockOperator : public Operator {
   const PlanNode& node_;
 };
 
+/// One trace stage's lineage fragment: backward maps the stage's output
+/// positions to its input positions, forward the reverse.
+struct StageFrag {
+  LineageIndex bw, fw;
+};
+
+/// One chained trace hop: probes `index` with seeds[j] for every child
+/// position j and appends the reached rids to `rids` (first occurrences
+/// only when `dedup`). Records the hop's fragment in `frag`: backward
+/// output position -> child positions, forward child position -> output
+/// positions. Deduplication maps reached rids to output positions, so
+/// nothing here is sized by the traced relation.
+Status ChainHop(const LineageIndex& index, const std::vector<rid_t>& seeds,
+                bool dedup, bool want_b, bool want_f,
+                std::vector<rid_t>* rids, StageFrag* frag) {
+  IntKeyMap pos(dedup ? seeds.size() : 0);
+  RidIndex bw, fw;
+  if (want_f) fw.Resize(seeds.size());
+  std::vector<rid_t> targets;
+  for (size_t j = 0; j < seeds.size(); ++j) {
+    const rid_t f = seeds[j];
+    if (f >= index.size()) {
+      return Status::InvalidArgument("chained trace seed rid " +
+                                     std::to_string(f) + " out of range");
+    }
+    targets.clear();
+    index.TraceInto(f, &targets);
+    for (rid_t t : targets) {
+      uint32_t p = static_cast<uint32_t>(rids->size());
+      if (dedup) {
+        const uint32_t seen = pos.FindOrInsert(t, p);
+        if (seen != IntKeyMap::kNotFound) p = seen;
+      }
+      if (p == rids->size()) rids->push_back(t);
+      if (want_b) {
+        if (bw.size() <= p) bw.Resize(p + 1);
+        bw.Append(p, static_cast<rid_t>(j));
+      }
+      if (want_f) fw.Append(j, p);
+    }
+  }
+  if (want_b) {
+    bw.Resize(rids->size());
+    frag->bw = LineageIndex::FromIndex(std::move(bw));
+  }
+  if (want_f) frag->fw = LineageIndex::FromIndex(std::move(fw));
+  return Status::OK();
+}
+
 /// The lineage query as a physical operator (paper §2.1: backward/forward
 /// traces are secondary index scans; here they are ordinary plan nodes, so
 /// consuming queries stack on top of them and capture their own lineage).
@@ -345,7 +395,12 @@ class SpjaBlockOperator : public Operator {
 /// child *is* the endpoint scan, so downstream lineage composes straight to
 /// the base relation; for a chained hop (seeds_from_child) the fragment
 /// records which child rows contributed to each traced output, composing
-/// through the previous hop.
+/// through the previous hop. Everything a trace allocates is sized by the
+/// traced rids, never by the traced relation: the single-hop forward
+/// fragment is a sparse inverse of the rids (TracedForwardIndex), which
+/// ComposeForward keeps sparse through fused hops, pushed-down filters and
+/// consuming operators, and chained hops deduplicate through a hash map
+/// over the rids they reach.
 class TraceOperator : public Operator {
  public:
   explicit TraceOperator(const PlanNode& node) : node_(node) {}
@@ -374,8 +429,7 @@ class TraceOperator : public Operator {
     const bool want_f = capture && opts.capture_forward;
 
     std::vector<rid_t> rids;
-    RidIndex chained_bw;  // chained: output position -> child positions
-    RidIndex chained_fw;  // chained: child position -> output positions
+    StageFrag base;  // this node's own hop (the fragment when unfused)
 
     if (s.skip_index != nullptr) {
       // Data-skipping physical choice: scan only the matching partition of
@@ -414,40 +468,19 @@ class TraceOperator : public Operator {
             (backward ? std::string("backward") : std::string("forward")) +
             " lineage for '" + s.relation + "' was not captured");
       }
-      const size_t universe =
-          backward ? (tl.table != nullptr ? tl.table->num_rows() : 0)
-                   : lin.output_cardinality();
       const auto& seed_vals = child.column(static_cast<size_t>(rid_col)).ints();
-      const size_t m = seed_vals.size();
-      std::vector<uint32_t> pos(s.dedup ? universe : 0, UINT32_MAX);
-      std::vector<rid_t> targets;
-      if (want_f) chained_fw.Resize(m);
-      for (size_t j = 0; j < m; ++j) {
-        rid_t f = static_cast<rid_t>(seed_vals[j]);
-        if (f >= index.size()) {
-          return Status::InvalidArgument("chained trace seed rid " +
-                                         std::to_string(f) + " out of range");
-        }
-        targets.clear();
-        index.TraceInto(f, &targets);
-        for (rid_t t : targets) {
-          uint32_t p;
-          if (s.dedup) {
-            if (pos[t] == UINT32_MAX) {
-              pos[t] = static_cast<uint32_t>(rids.size());
-              rids.push_back(t);
-            }
-            p = pos[t];
-          } else {
-            p = static_cast<uint32_t>(rids.size());
-            rids.push_back(t);
-          }
-          if (want_b) {
-            if (chained_bw.size() <= p) chained_bw.Resize(p + 1);
-            chained_bw.Append(p, static_cast<rid_t>(j));
-          }
-          if (want_f) chained_fw.Append(j, p);
-        }
+      std::vector<rid_t> seeds;
+      seeds.reserve(seed_vals.size());
+      for (int64_t v : seed_vals) seeds.push_back(static_cast<rid_t>(v));
+      SMOKE_RETURN_NOT_OK(ChainHop(index, seeds, s.dedup, want_b, want_f,
+                                   &rids, &base));
+    }
+    if (!s.seeds_from_child) {
+      // Output position i is child row rids[i].
+      if (want_b) base.bw = LineageIndex::FromArray(RidArray(rids));
+      if (want_f) {
+        SMOKE_RETURN_NOT_OK(
+            TracedForwardIndex(rids, inputs[0].table->num_rows(), &base.fw));
       }
     }
 
@@ -461,138 +494,77 @@ class TraceOperator : public Operator {
     // ComposePlanLineage builds for the unfused chain. Intermediate
     // endpoints are bounds-checked (the literal chain materializes them)
     // but never copied — that skipped copy is the optimization.
-    struct StageFrag {
-      LineageIndex bw, fw;
-    };
     std::vector<StageFrag> stages;
-    const bool is_fused = !s.fused_hops.empty() || !s.filters.empty();
-    if (is_fused) {
-      StageFrag base;
-      if (s.seeds_from_child) {
-        if (want_b) {
-          chained_bw.Resize(rids.size());
-          base.bw = LineageIndex::FromIndex(std::move(chained_bw));
-        }
-        if (want_f) base.fw = LineageIndex::FromIndex(std::move(chained_fw));
-      } else {
-        if (want_b) base.bw = LineageIndex::FromArray(RidArray(rids));
-        if (want_f) {
-          RidIndex fw(inputs[0].table->num_rows());
-          for (size_t i = 0; i < rids.size(); ++i) {
-            fw.Append(rids[i], static_cast<rid_t>(i));
-          }
-          base.fw = LineageIndex::FromIndex(std::move(fw));
-        }
-      }
-      stages.push_back(std::move(base));
+    stages.push_back(std::move(base));
 
-      for (const TraceHopSpec& hop : s.fused_hops) {
-        // The literal chain materializes the previous stage's endpoint
-        // before this hop probes; keep its bounds check (and error text).
-        if (endpoint == nullptr) {
-          return Status::InvalidArgument("trace endpoint table not available");
-        }
-        for (rid_t r : rids) {
-          if (r >= endpoint->num_rows()) {
-            return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                           " out of range for endpoint");
-          }
-        }
-        const QueryLineage& hl = *hop.lineage;
-        int hidx = hl.FindInput(hop.relation);
-        if (hidx < 0) {
-          return Status::NotFound("relation '" + hop.relation +
-                                  "' in trace source lineage");
-        }
-        const TableLineage& htl = hl.input(static_cast<size_t>(hidx));
-        const bool hop_backward = hop.direction == TraceDirection::kBackward;
-        const LineageIndex& index = hop_backward ? htl.backward : htl.forward;
-        if (index.empty()) {
-          return Status::InvalidArgument(
-              (hop_backward ? std::string("backward")
-                            : std::string("forward")) +
-              " lineage for '" + hop.relation + "' was not captured");
-        }
-        const size_t universe =
-            hop_backward ? (htl.table != nullptr ? htl.table->num_rows() : 0)
-                         : hl.output_cardinality();
-        std::vector<rid_t> seeds_in = std::move(rids);
-        rids.clear();
-        std::vector<uint32_t> pos(hop.dedup ? universe : 0, UINT32_MAX);
-        RidIndex hop_bw, hop_fw;
-        if (want_f) hop_fw.Resize(seeds_in.size());
-        std::vector<rid_t> targets;
-        for (size_t j = 0; j < seeds_in.size(); ++j) {
-          rid_t f = seeds_in[j];
-          if (f >= index.size()) {
-            return Status::InvalidArgument("chained trace seed rid " +
-                                           std::to_string(f) +
-                                           " out of range");
-          }
-          targets.clear();
-          index.TraceInto(f, &targets);
-          for (rid_t t : targets) {
-            uint32_t p;
-            if (hop.dedup) {
-              if (pos[t] == UINT32_MAX) {
-                pos[t] = static_cast<uint32_t>(rids.size());
-                rids.push_back(t);
-              }
-              p = pos[t];
-            } else {
-              p = static_cast<uint32_t>(rids.size());
-              rids.push_back(t);
-            }
-            if (want_b) {
-              if (hop_bw.size() <= p) hop_bw.Resize(p + 1);
-              hop_bw.Append(p, static_cast<rid_t>(j));
-            }
-            if (want_f) hop_fw.Append(j, p);
-          }
-        }
-        StageFrag sf;
-        if (want_b) {
-          hop_bw.Resize(rids.size());
-          sf.bw = LineageIndex::FromIndex(std::move(hop_bw));
-        }
-        if (want_f) sf.fw = LineageIndex::FromIndex(std::move(hop_fw));
-        stages.push_back(std::move(sf));
-        endpoint = hop.endpoint;
+    for (const TraceHopSpec& hop : s.fused_hops) {
+      // The literal chain materializes the previous stage's endpoint
+      // before this hop probes; keep its bounds check (and error text).
+      if (endpoint == nullptr) {
+        return Status::InvalidArgument("trace endpoint table not available");
       }
+      for (rid_t r : rids) {
+        if (r >= endpoint->num_rows()) {
+          return Status::InvalidArgument("traced rid " + std::to_string(r) +
+                                         " out of range for endpoint");
+        }
+      }
+      const QueryLineage& hl = *hop.lineage;
+      int hidx = hl.FindInput(hop.relation);
+      if (hidx < 0) {
+        return Status::NotFound("relation '" + hop.relation +
+                                "' in trace source lineage");
+      }
+      const TableLineage& htl = hl.input(static_cast<size_t>(hidx));
+      const bool hop_backward = hop.direction == TraceDirection::kBackward;
+      const LineageIndex& index = hop_backward ? htl.backward : htl.forward;
+      if (index.empty()) {
+        return Status::InvalidArgument(
+            (hop_backward ? std::string("backward")
+                          : std::string("forward")) +
+            " lineage for '" + hop.relation + "' was not captured");
+      }
+      std::vector<rid_t> seeds_in = std::move(rids);
+      rids.clear();
+      StageFrag sf;
+      SMOKE_RETURN_NOT_OK(ChainHop(index, seeds_in, hop.dedup, want_b,
+                                   want_f, &rids, &sf));
+      stages.push_back(std::move(sf));
+      endpoint = hop.endpoint;
+    }
 
-      if (!s.filters.empty()) {
-        if (endpoint == nullptr) {
-          return Status::InvalidArgument("trace endpoint table not available");
-        }
-        for (rid_t r : rids) {
-          if (r >= endpoint->num_rows()) {
-            return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                           " out of range for endpoint");
-          }
-        }
-        // Evaluate against the endpoint rows the literal select would have
-        // seen (the filters reference endpoint columns only — the rid
-        // column is never a predicate target). Same fragment shape as the
-        // selection kernel: backward = kept positions, forward = position
-        // -> kept index or kInvalidRid.
-        PredicateList preds(*endpoint, s.filters);
-        const size_t m = rids.size();
-        std::vector<rid_t> kept;
-        RidArray fbw;
-        RidArray ffw;
-        if (want_f) ffw.assign(m, kInvalidRid);
-        for (size_t i = 0; i < m; ++i) {
-          if (!preds.Eval(rids[i])) continue;
-          if (want_b) fbw.push_back(static_cast<rid_t>(i));
-          if (want_f) ffw[i] = static_cast<rid_t>(kept.size());
-          kept.push_back(rids[i]);
-        }
-        rids = std::move(kept);
-        StageFrag sf;
-        if (want_b) sf.bw = LineageIndex::FromArray(std::move(fbw));
-        if (want_f) sf.fw = LineageIndex::FromArray(std::move(ffw));
-        stages.push_back(std::move(sf));
+    if (!s.filters.empty()) {
+      if (endpoint == nullptr) {
+        return Status::InvalidArgument("trace endpoint table not available");
       }
+      for (rid_t r : rids) {
+        if (r >= endpoint->num_rows()) {
+          return Status::InvalidArgument("traced rid " + std::to_string(r) +
+                                         " out of range for endpoint");
+        }
+      }
+      // Evaluate against the endpoint rows the literal select would have
+      // seen (the filters reference endpoint columns only — the rid
+      // column is never a predicate target). Same fragment shape as the
+      // selection kernel: backward = kept positions, forward = position
+      // -> kept index or kInvalidRid.
+      PredicateList preds(*endpoint, s.filters);
+      const size_t m = rids.size();
+      std::vector<rid_t> kept;
+      RidArray fbw;
+      RidArray ffw;
+      if (want_f) ffw.assign(m, kInvalidRid);
+      for (size_t i = 0; i < m; ++i) {
+        if (!preds.Eval(rids[i])) continue;
+        if (want_b) fbw.push_back(static_cast<rid_t>(i));
+        if (want_f) ffw[i] = static_cast<rid_t>(kept.size());
+        kept.push_back(rids[i]);
+      }
+      rids = std::move(kept);
+      StageFrag sf;
+      if (want_b) sf.bw = LineageIndex::FromArray(std::move(fbw));
+      if (want_f) sf.fw = LineageIndex::FromArray(std::move(ffw));
+      stages.push_back(std::move(sf));
     }
 
     // Materialize the endpoint rows (the secondary index scan), bounds-
@@ -616,37 +588,17 @@ class TraceOperator : public Operator {
     out->output = std::move(output);
     out->output_cardinality = rids.size();
 
-    LineageFragment frag;
-    if (is_fused) {
-      // Executor association order: backward composes outermost-first
-      // (CB(acc, frag) top-down), forward nests the deeper fragment as the
-      // inner operand (CF(frag, acc)).
-      StageFrag acc = std::move(stages.back());
-      for (size_t k = stages.size() - 1; k-- > 0;) {
-        if (want_b) acc.bw = ComposeBackward(acc.bw, stages[k].bw);
-        if (want_f) acc.fw = ComposeForward(stages[k].fw, acc.fw);
-      }
-      frag.backward = std::move(acc.bw);
-      frag.forward = std::move(acc.fw);
-    } else if (s.seeds_from_child) {
-      if (want_b) {
-        chained_bw.Resize(rids.size());
-        frag.backward = LineageIndex::FromIndex(std::move(chained_bw));
-      }
-      if (want_f) frag.forward = LineageIndex::FromIndex(std::move(chained_fw));
-    } else {
-      // Single hop: output row i is child row rids[i].
-      if (want_b) {
-        frag.backward = LineageIndex::FromArray(RidArray(rids));
-      }
-      if (want_f) {
-        RidIndex fw(inputs[0].table->num_rows());
-        for (size_t i = 0; i < rids.size(); ++i) {
-          fw.Append(rids[i], static_cast<rid_t>(i));
-        }
-        frag.forward = LineageIndex::FromIndex(std::move(fw));
-      }
+    // Executor association order: backward composes outermost-first
+    // (CB(acc, frag) top-down), forward nests the deeper fragment as the
+    // inner operand (CF(frag, acc)). An unfused trace has one stage.
+    StageFrag acc = std::move(stages.back());
+    for (size_t k = stages.size() - 1; k-- > 0;) {
+      if (want_b) acc.bw = ComposeBackward(acc.bw, stages[k].bw);
+      if (want_f) acc.fw = ComposeForward(stages[k].fw, acc.fw);
     }
+    LineageFragment frag;
+    frag.backward = std::move(acc.bw);
+    frag.forward = std::move(acc.fw);
     out->fragments.push_back(std::move(frag));
     return Status::OK();
   }

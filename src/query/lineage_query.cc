@@ -1,5 +1,9 @@
 #include "query/lineage_query.h"
 
+#include <algorithm>
+#include <functional>
+
+#include "common/hash.h"
 #include "common/macros.h"
 
 namespace smoke {
@@ -7,26 +11,12 @@ namespace smoke {
 namespace {
 
 /// Probes `index` for every rid in `from` (all already validated against
-/// `index.size()`), deduplicating targets over `universe` when asked.
-std::vector<rid_t> Trace(const LineageIndex& index, size_t universe,
+/// `index.size()`), deduplicating targets when asked.
+std::vector<rid_t> Trace(const LineageIndex& index,
                          const std::vector<rid_t>& from, bool dedup) {
   std::vector<rid_t> out;
-  if (!dedup) {
-    for (rid_t f : from) index.TraceInto(f, &out);
-    return out;
-  }
-  std::vector<uint8_t> seen(universe, 0);
-  std::vector<rid_t> raw;
-  for (rid_t f : from) {
-    raw.clear();
-    index.TraceInto(f, &raw);
-    for (rid_t r : raw) {
-      if (!seen[r]) {
-        seen[r] = 1;
-        out.push_back(r);
-      }
-    }
-  }
+  for (rid_t f : from) index.TraceInto(f, &out);
+  if (dedup) DedupFirstOccurrence(&out);
   return out;
 }
 
@@ -43,6 +33,27 @@ Status ValidateRids(const std::vector<rid_t>& rids, size_t universe,
 }
 
 }  // namespace
+
+void DedupFirstOccurrence(std::vector<rid_t>* rids) {
+  if (std::adjacent_find(rids->begin(), rids->end(),
+                         std::greater_equal<rid_t>()) == rids->end()) {
+    return;
+  }
+  IntKeyMap seen(rids->size());
+  size_t kept = 0;
+  for (rid_t r : *rids) {
+    if (seen.FindOrInsert(r, 0) == IntKeyMap::kNotFound) (*rids)[kept++] = r;
+  }
+  rids->resize(kept);
+}
+
+Status TracedForwardIndex(const std::vector<rid_t>& rids, size_t child_rows,
+                          LineageIndex* out) {
+  SMOKE_RETURN_NOT_OK(ValidateRids(rids, child_rows, "traced"));
+  *out =
+      LineageIndex::FromSparseIndex(SparseRidIndex::Invert(rids, child_rows));
+  return Status::OK();
+}
 
 Status BackwardRidsChecked(const QueryLineage& lineage,
                            const std::string& table_name,
@@ -67,8 +78,7 @@ Status BackwardRidsChecked(const QueryLineage& lineage,
   }
   SMOKE_RETURN_NOT_OK(
       ValidateRids(out_rids, tl.backward.size(), "output"));
-  size_t universe = tl.table != nullptr ? tl.table->num_rows() : 0;
-  *out = Trace(tl.backward, universe, out_rids, dedup);
+  *out = Trace(tl.backward, out_rids, dedup);
   return Status::OK();
 }
 
@@ -93,7 +103,7 @@ Status ForwardRidsChecked(const QueryLineage& lineage,
                                    "' was not captured");
   }
   SMOKE_RETURN_NOT_OK(ValidateRids(in_rids, tl.forward.size(), "input"));
-  *out = Trace(tl.forward, lineage.output_cardinality(), in_rids, dedup);
+  *out = Trace(tl.forward, in_rids, dedup);
   return Status::OK();
 }
 

@@ -39,6 +39,19 @@ Status ForwardRidsChecked(const QueryLineage& lineage,
                           const std::vector<rid_t>& in_rids, bool dedup,
                           std::vector<rid_t>* out);
 
+/// Drops repeated rids, keeping first occurrences in order. Sized by the
+/// list, not by the rid universe: an ascending list is already a set, any
+/// other list goes through a hash set of its own size.
+void DedupFirstOccurrence(std::vector<rid_t>* rids);
+
+/// The forward lineage fragment of a trace whose output position i is
+/// child row rids[i]: child row r -> every such i, ascending, as a sparse
+/// index over `child_rows` positions (O(k) for ascending rids, O(k log k)
+/// otherwise — never sized by the child). Fails with InvalidArgument when a
+/// rid is >= child_rows.
+Status TracedForwardIndex(const std::vector<rid_t>& rids, size_t child_rows,
+                          LineageIndex* out);
+
 /// SELECT * FROM L(...) with bounds validation: materializes the traced
 /// rows into `*out`; fails with InvalidArgument on an out-of-range rid.
 Status MaterializeRowsChecked(const Table& table,

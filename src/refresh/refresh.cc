@@ -80,7 +80,7 @@ Status BuildJoinCache(const LogicalPlan& plan, int join_id, size_t build_rows,
   return Status::OK();
 }
 
-/// Deep copy of one lineage index (all four physical forms are value types;
+/// Deep copy of one lineage index (all five physical forms are value types;
 /// RidIndex needs an explicit per-list copy only because RidVec copies are
 /// exact-capacity).
 LineageIndex CopyIndex(const LineageIndex& src) {
@@ -99,6 +99,8 @@ LineageIndex CopyIndex(const LineageIndex& src) {
       return LineageIndex::FromEncodedArray(src.encoded_array());
     case LineageIndex::Kind::kEncodedIndex:
       return LineageIndex::FromEncodedPostings(src.encoded_postings());
+    case LineageIndex::Kind::kSparseIndex:
+      return LineageIndex::FromSparseIndex(src.sparse_index());
   }
   return LineageIndex();
 }

@@ -99,8 +99,9 @@ Table MakeDim(int64_t num_keys) {
       }
       break;
     case LineageIndex::Kind::kEncodedArray:
-    case LineageIndex::Kind::kEncodedIndex: {
-      // Encoded forms: compare the decoded per-position sequences.
+    case LineageIndex::Kind::kEncodedIndex:
+    case LineageIndex::Kind::kSparseIndex: {
+      // Encoded and sparse forms: compare the per-position sequences.
       std::vector<rid_t> ra, rb;
       for (size_t i = 0; i < a.size(); ++i) {
         ra.clear();
@@ -109,7 +110,7 @@ Table MakeDim(int64_t num_keys) {
         b.TraceInto(static_cast<rid_t>(i), &rb);
         if (ra != rb) {
           return ::testing::AssertionFailure()
-                 << "encoded list[" << i << "] differs";
+                 << "list[" << i << "] differs";
         }
       }
       break;
