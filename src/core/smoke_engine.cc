@@ -8,19 +8,25 @@ namespace smoke {
 
 namespace {
 
-/// Tracked bytes of a retained SPJA query: the composed indexes plus the
-/// partitioned skip index — under skip push-down the latter *replaces* the
-/// plain fact backward index and is where the dominant lineage lives.
-size_t SpjaLineageBytes(const SPJAResult& result) {
-  return result.lineage.MemoryBytes() + result.skip_index.MemoryBytes();
-}
-
+/// Tracked bytes of a retained result: the composed indexes plus, for an
+/// SpjaBlock root, the partitioned skip index — under skip push-down the
+/// latter *replaces* the plain fact backward index and is where the
+/// dominant lineage lives.
 size_t PlanLineageBytes(const PlanResult& result) {
   size_t b = result.lineage.MemoryBytes();
   if (result.spja_artifacts != nullptr) {
     b += result.spja_artifacts->skip_index.MemoryBytes();
   }
   return b;
+}
+
+/// Encodes a retained result's indexes, and an SpjaBlock root's skip index,
+/// under `codec`.
+void EncodeResult(PlanResult* result, LineageCodec codec) {
+  EncodeQueryLineage(&result->lineage, codec);
+  if (result->spja_artifacts != nullptr) {
+    result->spja_artifacts->skip_index.Freeze(codec);
+  }
 }
 
 }  // namespace
@@ -126,28 +132,9 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
   // refusal here is atomic (the table is untouched). Appends never dangle
   // retained rids — the hazard is retained results going stale — so, unlike
   // ReplaceTable, borrowing is allowed when the borrower can be maintained.
-  for (const auto& [qname, rq] : queries_) {
-    const QueryLineage& lin = rq->result.lineage;
-    bool borrows = rq->fact == dst || rq->query.fact == dst;
-    for (const SPJADim& d : rq->query.dims) borrows |= d.table == dst;
-    for (size_t i = 0; !borrows && i < lin.num_inputs(); ++i) {
-      borrows = lin.input(i).table == dst;
-    }
-    if (borrows) {
-      return Status::FailedPrecondition(
-          "table '" + name + "' is borrowed by retained SPJA query '" +
-          qname + "', which cannot be incrementally maintained; drop it or "
-          "re-issue it as a plan with retain_refresh_state");
-    }
-  }
   std::vector<std::string> views;
   for (const auto& [qname, rp] : plans_) {
-    const QueryLineage& lin = rp->result.lineage;
-    bool borrows = false;
-    for (size_t i = 0; !borrows && i < lin.num_inputs(); ++i) {
-      borrows = lin.input(i).table == dst;
-    }
-    if (!borrows) continue;
+    if (!rp->Borrows(dst)) continue;
     if (rp->shard != nullptr) {
       return Status::FailedPrecondition(
           "table '" + name + "' is borrowed by sharded retained plan '" +
@@ -177,15 +164,11 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
     RefreshStats s;
     SMOKE_RETURN_NOT_OK(RefreshPlanAppend(&rp.result, &s));
     if (!s.incremental) {
-      // Scoped rebuild fallback (dim-side append, non-refreshable shape).
+      // Scoped rebuild fallback (dim-side append, non-refreshable shape
+      // such as an SpjaBlock root).
       std::string reason = std::move(s.fallback_reason);
       SMOKE_RETURN_NOT_OK(RebuildRetainedPlan(&rp.result));
-      if (rp.codec != LineageCodec::kRaw) {
-        EncodeQueryLineage(&rp.result.lineage, rp.codec);
-        if (rp.result.spja_artifacts != nullptr) {
-          rp.result.spja_artifacts->skip_index.Freeze(rp.codec);
-        }
-      }
+      if (rp.codec != LineageCodec::kRaw) EncodeResult(&rp.result, rp.codec);
       s = RefreshStats{};
       s.table = name;
       s.delta_rows = rows.num_rows();
@@ -202,7 +185,7 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
 
 Status SmokeEngine::AdoptRetainedPlan(const std::string& query_name,
                                       PlanResult result, LineageCodec codec) {
-  if (IsRetainedName(query_name)) {
+  if (plans_.count(query_name) != 0) {
     return Status::AlreadyExists("query '" + query_name + "'");
   }
   if (result.HasDeferred()) {
@@ -226,32 +209,47 @@ std::string SmokeEngine::ShardBorrowerOf(const ShardedTable* st) const {
   return std::string();
 }
 
-bool SmokeEngine::TableInUse(const Table* table) const {
-  return !BorrowerOf(table).empty();
+bool SmokeEngine::RetainedPlan::Borrows(const Table* table) const {
+  if (query.has_value()) {
+    if (query->fact == table) return true;
+    for (const SPJADim& d : query->dims) {
+      if (d.table == table) return true;
+    }
+  }
+  const QueryLineage& lin = result.lineage;
+  for (size_t i = 0; i < lin.num_inputs(); ++i) {
+    if (lin.input(i).table == table) return true;
+  }
+  return false;
 }
 
 std::string SmokeEngine::BorrowerOf(const Table* table) const {
-  for (const auto& [name, rq] : queries_) {
-    if (rq->fact == table || rq->query.fact == table) return name;
-    for (const SPJADim& d : rq->query.dims) {
-      if (d.table == table) return name;
-    }
-    const QueryLineage& lin = rq->result.lineage;
-    for (size_t i = 0; i < lin.num_inputs(); ++i) {
-      if (lin.input(i).table == table) return name;
-    }
-  }
   for (const auto& [name, rp] : plans_) {
-    const QueryLineage& lin = rp->result.lineage;
-    for (size_t i = 0; i < lin.num_inputs(); ++i) {
-      if (lin.input(i).table == table) return name;
-    }
+    if (rp->Borrows(table)) return name;
   }
   return std::string();
 }
 
-bool SmokeEngine::IsRetainedName(const std::string& name) const {
-  return queries_.count(name) > 0 || plans_.count(name) > 0;
+Status SmokeEngine::PrepareBaseQuery(const std::string& query_name,
+                                     const CaptureOptions& options,
+                                     const Workload* workload,
+                                     CaptureOptions* opts) const {
+  if (plans_.count(query_name) != 0) {
+    return Status::AlreadyExists("query '" + query_name + "'");
+  }
+  if (options.mode == CaptureMode::kPhysMem ||
+      options.mode == CaptureMode::kPhysBdb) {
+    return Status::Unsupported(
+        "physical baselines are exercised per-operator, not via the engine "
+        "facade");
+  }
+  *opts = options;
+  if (workload != nullptr) {
+    opts->only_relations = workload->traced_relations;
+    opts->capture_backward = workload->needs_backward;
+    opts->capture_forward = workload->needs_forward;
+  }
+  return Status::OK();
 }
 
 Status SmokeEngine::ExecuteQuery(const std::string& query_name,
@@ -265,34 +263,19 @@ Status SmokeEngine::ExecuteQuery(const std::string& query_name,
                                  const SPJAQuery& query,
                                  const CaptureOptions& options,
                                  const Workload* workload) {
-  if (IsRetainedName(query_name)) {
-    return Status::AlreadyExists("query '" + query_name + "'");
-  }
-  if (query.fact == nullptr) {
-    return Status::InvalidArgument("query has no fact table");
-  }
-  if (options.mode == CaptureMode::kPhysMem ||
-      options.mode == CaptureMode::kPhysBdb) {
-    return Status::Unsupported(
-        "physical baselines are exercised per-operator, not via the engine "
-        "facade");
-  }
-
-  CaptureOptions opts = options;
-  const SPJAPushdown* push = nullptr;
-  if (workload != nullptr) {
-    opts.only_relations = workload->traced_relations;
-    opts.capture_backward = workload->needs_backward;
-    opts.capture_forward = workload->needs_forward;
-    if (!workload->pushdown.empty()) push = &workload->pushdown;
-  }
-
-  auto retained = std::make_unique<RetainedQuery>();
+  CaptureOptions opts;
+  SMOKE_RETURN_NOT_OK(PrepareBaseQuery(query_name, options, workload, &opts));
+  // The canonical plan form of the query (what SPJAExec runs), executed
+  // unsharded: the block kernel has no shard split.
+  PlanBuilder builder;
+  const int root = builder.SpjaBlock(
+      query, workload != nullptr ? workload->pushdown : SPJAPushdown{});
+  LogicalPlan plan;
+  SMOKE_RETURN_NOT_OK(builder.Build(root, &plan));
+  auto retained = std::make_unique<RetainedPlan>();
+  SMOKE_RETURN_NOT_OK(smoke::ExecutePlan(plan, opts, &retained->result));
   retained->query = query;
-  retained->fact = query.fact;
-  retained->result = SPJAExec(query, opts, push);
-  queries_[query_name] = std::move(retained);
-  FinishRetention(query_name, opts);
+  Retain(query_name, std::move(retained), opts);
   return Status::OK();
 }
 
@@ -306,26 +289,12 @@ Status SmokeEngine::ExecutePlan(const std::string& query_name,
                                 const LogicalPlan& plan,
                                 const CaptureOptions& options,
                                 const Workload* workload) {
-  if (IsRetainedName(query_name)) {
-    return Status::AlreadyExists("query '" + query_name + "'");
-  }
-  if (options.mode == CaptureMode::kPhysMem ||
-      options.mode == CaptureMode::kPhysBdb) {
-    return Status::Unsupported(
-        "physical baselines are exercised per-operator, not via the engine "
-        "facade");
-  }
-
-  CaptureOptions opts = options;
-  if (workload != nullptr) {
-    if (!workload->pushdown.empty()) {
-      return Status::InvalidArgument(
-          "workload push-downs do not apply to plan queries; attach them to "
-          "the plan's SpjaBlock node instead");
-    }
-    opts.only_relations = workload->traced_relations;
-    opts.capture_backward = workload->needs_backward;
-    opts.capture_forward = workload->needs_forward;
+  CaptureOptions opts;
+  SMOKE_RETURN_NOT_OK(PrepareBaseQuery(query_name, options, workload, &opts));
+  if (workload != nullptr && !workload->pushdown.empty()) {
+    return Status::InvalidArgument(
+        "workload push-downs do not apply to plan queries; attach them to "
+        "the plan's SpjaBlock node instead");
   }
 
   auto retained = std::make_unique<RetainedPlan>();
@@ -341,15 +310,14 @@ Status SmokeEngine::ExecutePlan(const std::string& query_name,
     retained->result = std::move(sp.plan);
     retained->shard = std::move(sp.shard);
   }
-  plans_[query_name] = std::move(retained);
-  FinishRetention(query_name, opts);
+  Retain(query_name, std::move(retained), opts);
   return Status::OK();
 }
 
 Status SmokeEngine::FinalizePlan(const std::string& query_name) {
   auto it = plans_.find(query_name);
   if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
+    return Status::NotFound("query '" + query_name + "'");
   }
   RetainedPlan& rp = *it->second;
   const bool was_deferred = rp.result.HasDeferred();
@@ -357,12 +325,7 @@ Status SmokeEngine::FinalizePlan(const std::string& query_name) {
   if (was_deferred) {
     // Capture finalize is the store's encode point: the freshly composed
     // indexes are re-encoded under the retention codec and accounted.
-    if (rp.codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rp.result.lineage, rp.codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(rp.codec);
-      }
-    }
+    if (rp.codec != LineageCodec::kRaw) EncodeResult(&rp.result, rp.codec);
     tracker_.Update(query_name, PlanLineageBytes(rp.result), rp.codec);
     EnforceBudget();
   }
@@ -371,24 +334,9 @@ Status SmokeEngine::FinalizePlan(const std::string& query_name) {
 
 Status SmokeEngine::GetResult(const std::string& query_name,
                               const Table** out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = &it->second->result.output;
-    return Status::OK();
-  }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    *out = &it->second->result.output;
-    return Status::OK();
-  }
-  return Status::NotFound("query '" + query_name + "'");
-}
-
-Status SmokeEngine::GetResultObject(const std::string& query_name,
-                                    const SPJAResult** out) const {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) {
-    return Status::NotFound("query '" + query_name + "'");
-  }
-  *out = &it->second->result;
+  const PlanResult* result = nullptr;
+  SMOKE_RETURN_NOT_OK(GetPlanResult(query_name, &result));
+  *out = &result->output;
   return Status::OK();
 }
 
@@ -396,25 +344,21 @@ Status SmokeEngine::GetPlanResult(const std::string& query_name,
                                   const PlanResult** out) const {
   auto it = plans_.find(query_name);
   if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
+    return Status::NotFound("query '" + query_name + "'");
   }
   *out = &it->second->result;
   return Status::OK();
 }
 
-Status SmokeEngine::FindLineage(const std::string& query_name,
-                                const QueryLineage** out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = &it->second->result.lineage;
-    tracker_.Touch(query_name);
-    return Status::OK();
+Status SmokeEngine::FindRetained(const std::string& query_name,
+                                 const RetainedPlan** out) const {
+  auto it = plans_.find(query_name);
+  if (it == plans_.end()) {
+    return Status::NotFound("query '" + query_name + "'");
   }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    *out = &it->second->result.lineage;
-    tracker_.Touch(query_name);
-    return Status::OK();
-  }
-  return Status::NotFound("query '" + query_name + "'");
+  *out = it->second.get();
+  tracker_.Touch(query_name);
+  return Status::OK();
 }
 
 // ---- lineage queries: typed handles ----
@@ -434,14 +378,13 @@ Status SplitTraceOutput(PlanResult&& pr, TraceResult* out) {
 
 Status SmokeEngine::MakeTraceSource(const std::string& query_name,
                                     TraceSource* out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = TraceSource::FromSpja(it->second->query, it->second->result,
-                                 query_name);
-  } else if (auto pit = plans_.find(query_name); pit != plans_.end()) {
-    *out = TraceSource::FromPlan(pit->second->result, query_name);
-  } else {
+  auto it = plans_.find(query_name);
+  if (it == plans_.end()) {
     return Status::NotFound("query '" + query_name + "'");
   }
+  const RetainedPlan& rp = *it->second;
+  *out = TraceSource::FromPlan(rp.result, query_name);
+  if (rp.query.has_value()) out->query = &*rp.query;
   // Feed the store-level statistics to the trace cost model
   // (optimizer/cost.h) before bumping the LRU clock.
   LineageMemoryTracker::Entry entry;
@@ -463,15 +406,14 @@ Status SmokeEngine::TraceBackward(const std::string& query_name,
   // handles exactly one seed, so loop the lazy rescan per seed (the same
   // path the string-keyed Backward takes) and synthesize the 1:1 lineage
   // the Trace operator would have produced — the handle stays chainable.
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    const RetainedQuery& rq = *it->second;
-    const int li = rq.result.lineage.FindInput(relation);
-    if (out_rids.size() != 1 && li >= 0 && rq.result.lineage.evicted() &&
-        LazyFallbackAvailable(query_name)) {
+  if (out_rids.size() != 1 && LazyFallbackAvailable(query_name)) {
+    const RetainedPlan& rp = *plans_.at(query_name);
+    const QueryLineage& lin = rp.result.lineage;
+    if (lin.FindInput(relation) >= 0 && lin.evicted()) {
       std::vector<rid_t> rids;
       SMOKE_RETURN_NOT_OK(
           Backward(query_name, relation, out_rids, &rids, dedup));
-      const Table* fact = rq.query.fact;
+      const Table* fact = rp.query->fact;
       SMOKE_RETURN_NOT_OK(MaterializeRowsChecked(*fact, rids, &out->rows));
       out->rids = rids;
       PlanResult pr;
@@ -549,13 +491,12 @@ Status SmokeEngine::TraceLinked(const std::string& from_query,
 Status SmokeEngine::ExecuteTraceQuery(const std::string& result_name,
                                       const TraceBuilder& builder,
                                       const CaptureOptions& opts) {
-  if (IsRetainedName(result_name)) {
+  if (plans_.count(result_name) != 0) {
     return Status::AlreadyExists("result '" + result_name + "'");
   }
   auto retained = std::make_unique<RetainedPlan>();
   SMOKE_RETURN_NOT_OK(builder.Execute(opts, &retained->result));
-  plans_[result_name] = std::move(retained);
-  FinishRetention(result_name, opts);
+  Retain(result_name, std::move(retained), opts);
   return Status::OK();
 }
 
@@ -565,25 +506,26 @@ Status SmokeEngine::Backward(const std::string& query_name,
                              const std::string& relation,
                              const std::vector<rid_t>& out_rids,
                              std::vector<rid_t>* rids, bool dedup) const {
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  const int i = lineage->FindInput(relation);
-  if (i >= 0 && lineage->evicted() && LazyFallbackAvailable(query_name)) {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(FindRetained(query_name, &rp));
+  const QueryLineage& lineage = rp->result.lineage;
+  if (lineage.FindInput(relation) >= 0 && lineage.evicted() &&
+      LazyFallbackAvailable(query_name)) {
     // The index was evicted under the lineage budget: answer by lazy
     // rescan of the fact relation, seed by seed. (Pruned or push-down-
     // replaced indexes deliberately do NOT fall back — their capture
     // semantics restrict lineage on purpose, so a lazy answer would be
     // silently wrong; they keep returning the "not captured" error.)
-    const RetainedQuery& rq = *queries_.at(query_name);
+    const Table& output = rp->result.output;
     rids->clear();
     for (rid_t oid : out_rids) {
-      if (oid >= rq.result.output.num_rows()) {
+      if (oid >= output.num_rows()) {
         return Status::InvalidArgument(
             "output rid " + std::to_string(oid) + " out of range [0, " +
-            std::to_string(rq.result.output.num_rows()) + ")");
+            std::to_string(output.num_rows()) + ")");
       }
       const std::vector<rid_t> lazy =
-          LazyBackwardRids(rq.query, rq.result.output, oid);
+          LazyBackwardRids(*rp->query, output, oid);
       rids->insert(rids->end(), lazy.begin(), lazy.end());
     }
     if (dedup) DedupFirstOccurrence(rids);
@@ -593,16 +535,13 @@ Status SmokeEngine::Backward(const std::string& query_name,
   // shard fan-out beats a composed-index probe (optimizer/cost.h pricing),
   // answer by probing only the touched shards. Rids are identical either
   // way.
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    const RetainedPlan& rp = *it->second;
-    if (rp.shard != nullptr && relation == rp.shard->driver_relation &&
-        CostShardTrace(out_rids.size(), rp.shard->num_shards(),
-                       rp.result.output.num_rows())
-            .use_fan_out) {
-      return rp.shard->TraceBackward(out_rids, dedup, rids, nullptr);
-    }
+  if (rp->shard != nullptr && relation == rp->shard->driver_relation &&
+      CostShardTrace(out_rids.size(), rp->shard->num_shards(),
+                     rp->result.output.num_rows())
+          .use_fan_out) {
+    return rp->shard->TraceBackward(out_rids, dedup, rids, nullptr);
   }
-  return BackwardRidsChecked(*lineage, relation, out_rids, dedup, rids);
+  return BackwardRidsChecked(lineage, relation, out_rids, dedup, rids);
 }
 
 Status SmokeEngine::BackwardSharded(const std::string& query_name,
@@ -613,7 +552,7 @@ Status SmokeEngine::BackwardSharded(const std::string& query_name,
                                     bool dedup) const {
   auto it = plans_.find(query_name);
   if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
+    return Status::NotFound("query '" + query_name + "'");
   }
   const RetainedPlan& rp = *it->second;
   if (rp.shard == nullptr) {
@@ -636,9 +575,10 @@ Status SmokeEngine::Forward(const std::string& query_name,
                             const std::string& relation,
                             const std::vector<rid_t>& in_rids,
                             std::vector<rid_t>* rids) const {
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  return ForwardRidsChecked(*lineage, relation, in_rids, /*dedup=*/true, rids);
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(FindRetained(query_name, &rp));
+  return ForwardRidsChecked(rp->result.lineage, relation, in_rids,
+                            /*dedup=*/true, rids);
 }
 
 Status SmokeEngine::BackwardRows(const std::string& query_name,
@@ -647,10 +587,11 @@ Status SmokeEngine::BackwardRows(const std::string& query_name,
                                  Table* rows) const {
   std::vector<rid_t> rids;
   SMOKE_RETURN_NOT_OK(Backward(query_name, relation, out_rids, &rids));
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  int idx = lineage->FindInput(relation);
-  const Table* table = lineage->input(static_cast<size_t>(idx)).table;
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(FindRetained(query_name, &rp));
+  const QueryLineage& lineage = rp->result.lineage;
+  const int idx = lineage.FindInput(relation);
+  const Table* table = lineage.input(static_cast<size_t>(idx)).table;
   if (table == nullptr) {
     return Status::InvalidArgument("relation table not available");
   }
@@ -668,84 +609,9 @@ Status SmokeEngine::TraceAcross(const std::string& from_query,
   return Forward(to_query, relation, shared, linked);
 }
 
-#ifdef SMOKE_ENABLE_DEPRECATED_CONSUMING
-Status SmokeEngine::ExecuteConsuming(const std::string& result_name,
-                                     const std::string& base_query,
-                                     rid_t output_rid,
-                                     const ConsumingSpec& spec) {
-  // Default traced relation: the SPJA fact table, or a plan's first input.
-  std::string relation;
-  if (auto it = queries_.find(base_query); it != queries_.end()) {
-    relation = it->second->query.fact_name;
-  } else if (auto it = plans_.find(base_query); it != plans_.end()) {
-    const QueryLineage& lin = it->second->result.lineage;
-    if (lin.num_inputs() == 0) {
-      return Status::InvalidArgument("plan query '" + base_query +
-                                     "' has no captured lineage");
-    }
-    relation = lin.input(0).table_name;
-  } else {
-    return Status::NotFound("query '" + base_query + "'");
-  }
-  return ExecuteConsumingOn(result_name, base_query, relation, output_rid,
-                            spec);
-}
-
-Status SmokeEngine::ExecuteConsumingOn(const std::string& result_name,
-                                       const std::string& base_query,
-                                       const std::string& relation,
-                                       rid_t output_rid,
-                                       const ConsumingSpec& spec) {
-  // Shim over the unified path: compile the spec into a Trace → Select →
-  // Derive → GroupBy plan (strategy resolved against the base query's
-  // capture artifacts) and retain the PlanResult. The result's composed
-  // lineage maps its outputs back to `relation`, which is what makes
-  // ExecuteConsumingChained just another consuming query.
-  TraceSource src;
-  SMOKE_RETURN_NOT_OK(MakeTraceSource(base_query, &src));
-  TraceBuilder builder =
-      TraceBuilder::Backward(std::move(src), relation, {output_rid});
-  builder.Consuming(spec);
-  return ExecuteTraceQuery(result_name, builder, CaptureOptions::Inject());
-}
-
-Status SmokeEngine::ExecuteConsumingChained(const std::string& result_name,
-                                            const std::string& base_consuming,
-                                            rid_t output_rid,
-                                            const ConsumingSpec& spec) {
-  auto it = plans_.find(base_consuming);
-  if (it == plans_.end()) {
-    return Status::NotFound("consuming result '" + base_consuming + "'");
-  }
-  const QueryLineage& lin = it->second->result.lineage;
-  if (lin.num_inputs() == 0) {
-    return Status::InvalidArgument("consuming result '" + base_consuming +
-                                   "' has no captured lineage");
-  }
-  return ExecuteConsumingOn(result_name, base_consuming,
-                            lin.input(0).table_name, output_rid, spec);
-}
-
-Status SmokeEngine::GetConsumingResult(const std::string& result_name,
-                                       const Table** out) const {
-  auto it = plans_.find(result_name);
-  if (it == plans_.end()) {
-    return Status::NotFound("consuming result '" + result_name + "'");
-  }
-  *out = &it->second->result.output;
-  return Status::OK();
-}
-#endif  // SMOKE_ENABLE_DEPRECATED_CONSUMING
-
 Status SmokeEngine::DropResult(const std::string& query_name) {
   const Table* output = nullptr;
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    output = &it->second->result.output;
-  } else if (auto it = plans_.find(query_name); it != plans_.end()) {
-    output = &it->second->result.output;
-  } else {
-    return Status::NotFound("query '" + query_name + "'");
-  }
+  SMOKE_RETURN_NOT_OK(GetResult(query_name, &output));
   // A retained forward trace (or chained hop) borrows the traced query's
   // output rows through its lineage; dropping the query under it would
   // dangle those pointers — same hazard DropTable guards against.
@@ -755,14 +621,13 @@ Status SmokeEngine::DropResult(const std::string& query_name) {
                                    borrower + "'s lineage; drop '" + borrower +
                                    "' first");
   }
-  if (queries_.erase(query_name) == 0) plans_.erase(query_name);
+  plans_.erase(query_name);
   tracker_.Release(query_name);
   return Status::OK();
 }
 
 std::vector<std::string> SmokeEngine::QueryNames() const {
   std::vector<std::string> names;
-  for (const auto& [k, v] : queries_) names.push_back(k);
   for (const auto& [k, v] : plans_) names.push_back(k);
   return names;
 }
@@ -778,88 +643,61 @@ void SmokeEngine::SetLineageBudget(size_t bytes) {
   EnforceBudget();
 }
 
-void SmokeEngine::FinishRetention(const std::string& query_name,
-                                  const CaptureOptions& opts) {
+void SmokeEngine::Retain(const std::string& query_name,
+                         std::unique_ptr<RetainedPlan> retained,
+                         const CaptureOptions& opts) {
   if (opts.lineage_budget_bytes > 0) {
     tracker_.SetBudget(opts.lineage_budget_bytes);
   }
   const LineageCodec codec = opts.lineage_codec;
-  size_t bytes = 0;
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    RetainedQuery& rq = *it->second;
-    if (codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rq.result.lineage, codec);
-      rq.result.skip_index.Freeze(codec);
-    }
-    rq.codec = codec;
-    bytes = SpjaLineageBytes(rq.result);
-  } else if (auto it2 = plans_.find(query_name); it2 != plans_.end()) {
-    RetainedPlan& rp = *it2->second;
-    rp.codec = codec;
-    // Deferred plans have no composed lineage yet; FinalizePlan encodes and
-    // re-accounts at think-time.
-    if (!rp.result.HasDeferred() && codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rp.result.lineage, codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(codec);
-      }
-    }
-    // Plans retained with refresh state are analyzed eagerly (after the
-    // store encode, so the watermarks see the final indexes): AppendRows
-    // and the serving layer then make refresh-vs-rebuild decisions without
-    // re-walking the plan, and refreshable() is meaningful immediately.
-    if (rp.result.refresh != nullptr && !rp.result.HasDeferred()) {
-      AnalyzeRefreshability(&rp.result).IgnoreError();
-    }
-    bytes = PlanLineageBytes(rp.result);
-  } else {
-    return;
+  RetainedPlan& rp = *retained;
+  plans_[query_name] = std::move(retained);
+  rp.codec = codec;
+  // Deferred plans have no composed lineage yet; FinalizePlan encodes and
+  // re-accounts at think-time.
+  if (!rp.result.HasDeferred() && codec != LineageCodec::kRaw) {
+    EncodeResult(&rp.result, codec);
   }
-  tracker_.Register(query_name, bytes, codec);
+  // Plans retained with refresh state are analyzed eagerly (after the
+  // store encode, so the watermarks see the final indexes): AppendRows
+  // and the serving layer then make refresh-vs-rebuild decisions without
+  // re-walking the plan, and refreshable() is meaningful immediately.
+  if (rp.result.refresh != nullptr && !rp.result.HasDeferred()) {
+    AnalyzeRefreshability(&rp.result).IgnoreError();
+  }
+  tracker_.Register(query_name, PlanLineageBytes(rp.result), codec);
   EnforceBudget();
 }
 
 void SmokeEngine::ReencodeRetained(const std::string& query_name,
                                    LineageCodec codec) {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    RetainedQuery& rq = *it->second;
-    EncodeQueryLineage(&rq.result.lineage, codec);
-    rq.result.skip_index.Freeze(codec);
-    rq.codec = codec;
-    tracker_.Update(query_name, SpjaLineageBytes(rq.result), codec);
+  auto it = plans_.find(query_name);
+  if (it == plans_.end()) {
+    tracker_.Release(query_name);  // stale entry — should not happen
     return;
   }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    RetainedPlan& rp = *it->second;
-    rp.codec = codec;
-    if (!rp.result.HasDeferred()) {
-      EncodeQueryLineage(&rp.result.lineage, codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(codec);
-      }
-    }
-    tracker_.Update(query_name, PlanLineageBytes(rp.result), codec);
-    return;
-  }
-  tracker_.Release(query_name);  // stale entry — should not happen
+  RetainedPlan& rp = *it->second;
+  rp.codec = codec;
+  if (!rp.result.HasDeferred()) EncodeResult(&rp.result, codec);
+  tracker_.Update(query_name, PlanLineageBytes(rp.result), codec);
 }
 
 void SmokeEngine::EvictRetained(const std::string& query_name) {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) return;
-  RetainedQuery& rq = *it->second;
-  EvictQueryLineage(&rq.result.lineage);
-  rq.result.skip_index = PartitionedRidIndex();
+  RetainedPlan& rp = *plans_.at(query_name);
+  EvictQueryLineage(&rp.result.lineage);
+  if (rp.result.spja_artifacts != nullptr) {
+    rp.result.spja_artifacts->skip_index = PartitionedRidIndex();
+  }
   // The dictionary stays (it is query metadata, not lineage), but strategy
   // resolution checks the skip *index* presence, so kAuto falls through to
   // the lazy rescan rather than probing the dropped partitions.
-  tracker_.MarkEvicted(query_name, SpjaLineageBytes(rq.result));
+  tracker_.MarkEvicted(query_name, PlanLineageBytes(rp.result));
 }
 
 bool SmokeEngine::LazyFallbackAvailable(const std::string& query_name) const {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) return false;
-  return LazyRewriteAvailable(it->second->query);
+  auto it = plans_.find(query_name);
+  return it != plans_.end() && it->second->query.has_value() &&
+         LazyRewriteAvailable(*it->second->query);
 }
 
 void SmokeEngine::EnforceBudget() {

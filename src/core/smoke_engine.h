@@ -4,23 +4,24 @@
 // registers base relations, submits base queries Q (optionally with a
 // declared lineage-consuming workload W that configures pruning and
 // push-down), and then issues backward / forward / consuming lineage
-// queries against the retained lineage indexes. Base queries come in two
-// forms: the legacy SPJA block (ExecuteQuery) and arbitrary composable
-// operator DAGs built with PlanBuilder (ExecutePlan). Query results and
-// their lineage are retained under client-chosen names so consuming queries
-// can chain (C over C' over Q) and lineage can be traced across queries.
+// queries against the retained lineage indexes. Every base query is an
+// operator DAG (plan/plan.h): ExecuteQuery builds the one-node SpjaBlock
+// plan of an SPJA query, ExecutePlan runs a PlanBuilder DAG. Each result is
+// retained under a client-chosen name as one kind of thing — a PlanResult
+// with its composed lineage — so consuming queries can chain (C over C'
+// over Q) and lineage can be traced across queries.
 //
 // Lineage consumption goes through the unified API (query/trace_builder.h):
 // traces and consuming queries compile to ordinary plans with Trace nodes,
-// run by the same executor as base queries, and retain PlanResults — so a
-// consuming result chains exactly like any other retained query. The typed
-// handles (TraceResult / ExecuteTraceQuery) are the primary interface; the
-// older string-keyed methods remain as thin shims over the same path.
+// run by the same executor as base queries, and retain PlanResults in the
+// same namespace. The typed handles (TraceResult / ExecuteTraceQuery) are
+// the primary interface; Backward / Forward / TraceAcross return bare rids.
 #ifndef SMOKE_CORE_SMOKE_ENGINE_H_
 #define SMOKE_CORE_SMOKE_ENGINE_H_
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "lineage/store/lineage_store.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
-#include "query/consuming.h"
 #include "query/trace_builder.h"
 #include "refresh/refresh.h"
 #include "shard/coordinator.h"
@@ -120,8 +120,8 @@ class SmokeEngine {
   /// in their RefreshStats. Appending — unlike ReplaceTable — never
   /// invalidates retained rids, so this is the one mutation allowed while
   /// results are live. Refused (FailedPrecondition, naming the borrower)
-  /// when a borrowing result cannot be maintained at all: a retained SPJA
-  /// query, a sharded plan, or a plan executed without
+  /// when a borrowing result cannot be maintained at all: a sharded plan,
+  /// or any result (ExecuteQuery's included) executed without
   /// retain_refresh_state. Per-view stats for this batch are appended to
   /// `stats` when non-null.
   Status AppendRows(const std::string& name, const Table& rows,
@@ -138,8 +138,12 @@ class SmokeEngine {
   // ---- base queries ----
 
   /// Executes an SPJA base query with the given capture technique and
-  /// retains its result and lineage under `query_name`. The optional
-  /// workload drives pruning and push-down configuration.
+  /// retains its result and lineage under `query_name`: the query runs as
+  /// the one-node SpjaBlock plan (unsharded, whatever the catalog's shard
+  /// layout) and is retained like any plan, additionally keeping the query
+  /// itself for the lazy-rescan trace strategy. The optional workload drives
+  /// pruning and push-down configuration (push-downs need kInject).
+  /// Malformed queries return InvalidArgument.
   Status ExecuteQuery(const std::string& query_name, const SPJAQuery& query,
                       CaptureMode mode = CaptureMode::kInject,
                       const Workload* workload = nullptr);
@@ -155,8 +159,7 @@ class SmokeEngine {
   /// Executes a composable operator DAG (plan/plan.h) and retains its
   /// result and composed end-to-end lineage under `query_name`. All lineage
   /// queries (Backward / Forward / BackwardRows / TraceAcross) and
-  /// consuming queries work over retained plans exactly as over SPJA
-  /// queries. The workload's traced_relations / directions configure
+  /// consuming queries work over every retained result. The workload's traced_relations / directions configure
   /// pruning; its pushdown field is ignored (attach push-downs to SpjaBlock
   /// nodes when building the plan).
   Status ExecutePlan(const std::string& query_name, const LogicalPlan& plan,
@@ -175,23 +178,20 @@ class SmokeEngine {
   /// Finalizes deferred capture of a retained plan executed with
   /// defer_plan_finalize (the paper's think-time Zγ at plan granularity).
   /// Lineage queries against the plan only see indexes after this runs.
-  /// No-op for plans with nothing pending.
+  /// No-op for results with nothing pending (every ExecuteQuery result).
   Status FinalizePlan(const std::string& query_name);
 
-  /// The output relation of a retained query (SPJA or plan).
+  /// The output relation of a retained result.
   Status GetResult(const std::string& query_name, const Table** out) const;
 
-  /// The full SPJA result object (lineage, push-down artifacts).
-  Status GetResultObject(const std::string& query_name,
-                         const SPJAResult** out) const;
-
-  /// The full plan result object (composed lineage, block artifacts).
+  /// The full retained result object (composed lineage; for SpjaBlock
+  /// roots, ExecuteQuery's included, the push-down artifacts).
   Status GetPlanResult(const std::string& query_name,
                        const PlanResult** out) const;
 
   // ---- lineage queries: typed handles (the unified consumption API) ----
 
-  /// Builds a TraceSource for a retained query (SPJA or plan) so callers
+  /// Builds a TraceSource for a retained result so callers
   /// can construct TraceBuilder queries directly. The source borrows the
   /// retained result and stays valid until the query is dropped.
   Status MakeTraceSource(const std::string& query_name,
@@ -261,49 +261,13 @@ class SmokeEngine {
   /// Linked brushing (paper Figure 1): Lf(Lb(out_rids ⊆ V1, relation), V2) —
   /// backward from `from_query`'s outputs to the shared input relation,
   /// then forward into `to_query`'s outputs. Both queries must have lineage
-  /// on `relation` (backward on from, forward on to). Works across any mix
-  /// of retained SPJA and plan queries.
+  /// on `relation` (backward on from, forward on to). Works across any two
+  /// retained results.
   Status TraceAcross(const std::string& from_query,
                      const std::vector<rid_t>& out_rids,
                      const std::string& relation,
                      const std::string& to_query,
                      std::vector<rid_t>* linked) const;
-
-#ifdef SMOKE_ENABLE_DEPRECATED_CONSUMING
-  // ---- lineage consuming queries (retired shims) ----
-  //
-  // These string-keyed methods predate the unified consumption API
-  // (TraceBuilder / ExecuteTraceQuery) and are compiled out by default.
-  // Define SMOKE_ENABLE_DEPRECATED_CONSUMING to bring them back for one
-  // release while migrating; see README "Migrating off ExecuteConsuming*".
-
-  /// Evaluates a consuming query over the backward lineage of one output of
-  /// a retained base query (secondary index scan), retaining the consuming
-  /// result under `result_name` for further chaining. The traced relation
-  /// defaults to the base query's fact table (SPJA) or first lineage input
-  /// (plan).
-  Status ExecuteConsuming(const std::string& result_name,
-                          const std::string& base_query, rid_t output_rid,
-                          const ConsumingSpec& spec);
-
-  /// Same, tracing an explicit input `relation` of the base query.
-  Status ExecuteConsumingOn(const std::string& result_name,
-                            const std::string& base_query,
-                            const std::string& relation, rid_t output_rid,
-                            const ConsumingSpec& spec);
-
-  /// Evaluates a consuming query over one output of a retained *consuming*
-  /// result (the Q1b -> Q1c chain). Since consuming results are retained
-  /// plans with composed lineage back to the traced relation, this is just
-  /// ExecuteConsumingOn against that relation.
-  Status ExecuteConsumingChained(const std::string& result_name,
-                                 const std::string& base_consuming,
-                                 rid_t output_rid, const ConsumingSpec& spec);
-
-  /// The output of a retained consuming query (== GetResult).
-  Status GetConsumingResult(const std::string& result_name,
-                            const Table** out) const;
-#endif  // SMOKE_ENABLE_DEPRECATED_CONSUMING
 
   /// Drops a retained query result and its lineage (releasing its lineage
   /// store accounting). Refused while another retained result's lineage
@@ -325,29 +289,32 @@ class SmokeEngine {
   void SetLineageBudget(size_t bytes);
 
  private:
-  struct RetainedQuery {
-    SPJAQuery query;        // note: borrows engine-owned tables
-    SPJAResult result;
-    const Table* fact = nullptr;
-    LineageCodec codec = LineageCodec::kRaw;
-  };
   struct RetainedPlan {
     PlanResult result;
     LineageCodec codec = LineageCodec::kRaw;
+    /// The SPJA query of an ExecuteQuery result (borrows engine-owned
+    /// tables): enables the lazy-rescan trace strategy, which in turn makes
+    /// the result evictable under the lineage budget.
+    std::optional<SPJAQuery> query;
     /// Shard fan-out state when the plan executed sharded with backward
     /// capture (borrows the ShardMap of the driver's ShardedTable).
     std::unique_ptr<ShardedExecution> shard;
+
+    /// True when the retained query or its lineage borrows `table`.
+    bool Borrows(const Table* table) const;
   };
 
-  /// Unified lookup over retained SPJA queries and plans.
-  Status FindLineage(const std::string& query_name,
-                     const QueryLineage** out) const;
+  /// Looks up a retained result for a lineage query (bumps its LRU tick).
+  Status FindRetained(const std::string& query_name,
+                      const RetainedPlan** out) const;
 
-  /// True when `name` is already retained in any namespace.
-  bool IsRetainedName(const std::string& name) const;
-
-  /// True when any retained result still borrows `table`.
-  bool TableInUse(const Table* table) const;
+  /// Common entry checks of the base-query calls: the name is free, the
+  /// mode runs through the engine, and a non-null workload's pruning fields
+  /// override `options`'.
+  Status PrepareBaseQuery(const std::string& query_name,
+                          const CaptureOptions& options,
+                          const Workload* workload,
+                          CaptureOptions* opts) const;
 
   /// Name of a retained result whose shard fan-out state borrows `st`'s
   /// ShardMap (first in name order), or "" when none — guards re-sharding
@@ -361,11 +328,12 @@ class SmokeEngine {
   /// snapshot version its own engine.
   std::string BorrowerOf(const Table* table) const;
 
-  /// Encodes the freshly retained query's lineage per `opts.lineage_codec`,
-  /// registers it with the tracker, applies `opts.lineage_budget_bytes`,
-  /// and enforces the budget.
-  void FinishRetention(const std::string& query_name,
-                       const CaptureOptions& opts);
+  /// Retains a freshly executed result under `query_name`: encodes its
+  /// lineage per `opts.lineage_codec`, registers it with the tracker,
+  /// applies `opts.lineage_budget_bytes`, and enforces the budget.
+  void Retain(const std::string& query_name,
+              std::unique_ptr<RetainedPlan> retained,
+              const CaptureOptions& opts);
 
   /// Re-encodes a retained query's lineage under the adaptive codec and
   /// updates its accounting.
@@ -376,8 +344,8 @@ class SmokeEngine {
   void EvictRetained(const std::string& query_name);
 
   /// True when backward traces on `query_name` can be answered by the lazy
-  /// rescan after eviction (retained SPJA query, no dimensions, fact-table
-  /// group-by keys).
+  /// rescan after eviction (an ExecuteQuery result with no dimensions and
+  /// fact-table group-by keys).
   bool LazyFallbackAvailable(const std::string& query_name) const;
 
   /// Re-encode cold, then evict, until total lineage bytes fit the budget.
@@ -386,9 +354,9 @@ class SmokeEngine {
   Catalog catalog_;
   /// Shard slices + codec per sharded base table, keyed by table name.
   std::map<std::string, std::unique_ptr<ShardedTable>> sharded_;
-  std::map<std::string, std::unique_ptr<RetainedQuery>> queries_;
-  /// Retained plan results: base-query plans AND trace/consuming results —
-  /// the unified consumption API makes them the same kind of thing.
+  /// Every retained result: base queries (SPJA or plan) AND trace/consuming
+  /// results — the unified consumption API makes them the same kind of
+  /// thing.
   std::map<std::string, std::unique_ptr<RetainedPlan>> plans_;
   /// Lineage store accounting (mutable: trace accesses bump LRU ticks
   /// through const lookups).

@@ -315,6 +315,11 @@ class SpjaBlockOperator : public Operator {
   Status Execute(const std::vector<OperatorInput>& inputs,
                  const CaptureOptions& opts, OperatorResult* out) const override {
     SMOKE_RETURN_NOT_OK(RequireFullRange(inputs, name()));
+    if (!node_.pushdown.empty() && opts.mode != CaptureMode::kInject) {
+      return Status::InvalidArgument(
+          "SPJA block push-downs need inject capture (node '" + node_.label +
+          "')");
+    }
     // Rebind the block's table pointers to the bound inputs so a plan can
     // be replayed against refreshed scans.
     SPJAQuery q = node_.spja;

@@ -204,10 +204,79 @@ TEST(EngineEdgeTest, ResultObjectExposesPushdownArtifacts) {
   Workload w;
   w.pushdown.skip_cols = {zipf_table::kZ};
   ASSERT_TRUE(eng.ExecuteQuery("v", q, CaptureMode::kInject, &w).ok());
-  const SPJAResult* res = nullptr;
-  ASSERT_TRUE(eng.GetResultObject("v", &res).ok());
-  EXPECT_GT(res->skip_dict.num_codes, 0u);
-  EXPECT_EQ(res->skip_index.num_outputs(), res->output.num_rows());
+  const PlanResult* res = nullptr;
+  ASSERT_TRUE(eng.GetPlanResult("v", &res).ok());
+  ASSERT_NE(res->spja_artifacts, nullptr);
+  EXPECT_GT(res->spja_artifacts->skip_dict.num_codes, 0u);
+  EXPECT_EQ(res->spja_artifacts->skip_index.num_outputs(),
+            res->output.num_rows());
+}
+
+// ---- malformed base queries return Status instead of aborting ----
+
+class MalformedQueryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(eng_.CreateTable("zipf", MakeZipfTable(500, 5, 1.0)).ok());
+    ASSERT_TRUE(eng_.GetTable("zipf", &t_).ok());
+    q_.fact = t_;
+    q_.fact_name = "zipf";
+    q_.group_by = {ColRef::Fact(zipf_table::kZ)};
+    q_.aggs = {AggSpec::Count("cnt")};
+  }
+
+  /// The failed call retained nothing under the name.
+  void ExpectNothingRetained() {
+    EXPECT_TRUE(eng_.QueryNames().empty());
+    const Table* out = nullptr;
+    EXPECT_EQ(eng_.GetResult("v", &out).code(), Status::Code::kNotFound);
+  }
+
+  SmokeEngine eng_;
+  const Table* t_ = nullptr;
+  SPJAQuery q_;
+};
+
+TEST_F(MalformedQueryTest, DimensionWithoutTable) {
+  SPJADim dim;
+  dim.name = "missing";
+  dim.pk_col = 0;
+  dim.fk = ColRef::Fact(zipf_table::kZ);
+  q_.dims = {dim};
+  EXPECT_EQ(eng_.ExecuteQuery("v", q_).code(),
+            Status::Code::kInvalidArgument);
+  ExpectNothingRetained();
+}
+
+TEST_F(MalformedQueryTest, GroupByColumnOutOfRange) {
+  q_.group_by = {ColRef::Fact(99)};
+  EXPECT_FALSE(eng_.ExecuteQuery("v", q_).ok());
+  ExpectNothingRetained();
+}
+
+TEST_F(MalformedQueryTest, WorkloadPushdownUnderDefer) {
+  Workload w;
+  w.pushdown.skip_cols = {zipf_table::kZ};
+  EXPECT_EQ(eng_.ExecuteQuery("v", q_, CaptureMode::kDefer, &w).code(),
+            Status::Code::kInvalidArgument);
+  ExpectNothingRetained();
+  // The same push-down under inject capture is fine.
+  EXPECT_TRUE(eng_.ExecuteQuery("v", q_, CaptureMode::kInject, &w).ok());
+}
+
+TEST_F(MalformedQueryTest, SpjaBlockPushdownUnderDeferThroughPlans) {
+  SPJAPushdown push;
+  push.skip_cols = {zipf_table::kZ};
+  PlanBuilder b;
+  LogicalPlan plan;
+  ASSERT_TRUE(b.Build(b.SpjaBlock(q_, push), &plan).ok());
+  PlanResult pr;
+  EXPECT_EQ(ExecutePlan(plan, CaptureOptions::Mode(CaptureMode::kDefer), &pr)
+                .code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(eng_.ExecutePlan("v", plan, CaptureMode::kDefer).code(),
+            Status::Code::kInvalidArgument);
+  ExpectNothingRetained();
 }
 
 TEST(EngineEdgeTest, RelationPruningViaWorkload) {

@@ -323,11 +323,13 @@ TEST(LineageStoreTest, TpchQ1AndSkippingBitIdentical) {
     // The tracker must see the partitioned skip index too — with skip
     // push-down it replaces the plain fact backward index and holds the
     // dominant lineage bytes.
-    const SPJAResult* ro = nullptr;
-    ASSERT_TRUE(engine.GetResultObject("q1skip", &ro).ok());
-    EXPECT_GT(ro->skip_index.MemoryBytes(), 0u);
+    const PlanResult* ro = nullptr;
+    ASSERT_TRUE(engine.GetPlanResult("q1skip", &ro).ok());
+    ASSERT_NE(ro->spja_artifacts, nullptr);
+    const PartitionedRidIndex& skip = ro->spja_artifacts->skip_index;
+    EXPECT_GT(skip.MemoryBytes(), 0u);
     EXPECT_EQ(StatBytes(engine, "q1skip"),
-              ro->lineage.MemoryBytes() + ro->skip_index.MemoryBytes());
+              ro->lineage.MemoryBytes() + skip.MemoryBytes());
 
     if (!have_ref) {
       ref = got;

@@ -324,7 +324,7 @@ TEST(RefreshPlanTest, AppendRefusedWhileUnmaintainableBorrowerLive) {
   EXPECT_NE(st.message().find("frozen"), std::string::npos) << st.message();
   ASSERT_TRUE(engine.DropResult("frozen").ok());
 
-  // A retained SPJA query blocks appends too (no plan to re-execute).
+  // So does an ExecuteQuery result executed without refresh state.
   SPJAQuery q;
   q.fact = t;
   q.fact_name = "zipf";
@@ -344,6 +344,55 @@ TEST(RefreshPlanTest, AppendRefusedWhileUnmaintainableBorrowerLive) {
   ASSERT_TRUE(engine.AppendRows("zipf", delta, &stats).ok());
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_TRUE(stats[0].incremental);
+}
+
+TEST(RefreshPlanTest, SpjaQueryWithRefreshStateRebuildsOnAppend) {
+  // An ExecuteQuery result is an SpjaBlock plan: with refresh state it is
+  // maintained by the scoped-rebuild fallback, like any non-refreshable
+  // shape, and ends up identical to the query run fresh on the full table.
+  auto make_query = [](const Table* t) {
+    SPJAQuery q;
+    q.fact = t;
+    q.fact_name = "zipf";
+    q.group_by = {ColRef::Fact(zipf_table::kZ)};
+    q.aggs = {AggSpec::Count("cnt"),
+              AggSpec::Sum(ScalarExpr::Col(zipf_table::kV), "sum_v")};
+    return q;
+  };
+  SmokeEngine engine;
+  ASSERT_TRUE(engine.CreateTable("zipf", MakeZipfTable(400, 6, 1.0, 71)).ok());
+  const Table* t = nullptr;
+  ASSERT_TRUE(engine.GetTable("zipf", &t).ok());
+  ASSERT_TRUE(engine.ExecuteQuery("spja_view", make_query(t), RetainOpts())
+                  .ok());
+
+  Table full = *t;
+  Table delta = MakeZipfTable(90, 8, 0.5, 72);
+  for (size_t r = 0; r < delta.num_rows(); ++r) {
+    full.AppendRowFrom(delta, static_cast<rid_t>(r));
+  }
+  std::vector<RefreshStats> stats;
+  ASSERT_TRUE(engine.AppendRows("zipf", delta, &stats).ok());
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].target, "spja_view");
+  EXPECT_FALSE(stats[0].incremental);
+  EXPECT_FALSE(stats[0].fallback_reason.empty());
+
+  SmokeEngine fresh;
+  ASSERT_TRUE(fresh.CreateTable("zipf", std::move(full)).ok());
+  const Table* ft = nullptr;
+  ASSERT_TRUE(fresh.GetTable("zipf", &ft).ok());
+  ASSERT_TRUE(fresh.ExecuteQuery("spja_view", make_query(ft)).ok());
+  const PlanResult* got = nullptr;
+  const PlanResult* want = nullptr;
+  ASSERT_TRUE(engine.GetPlanResult("spja_view", &got).ok());
+  ASSERT_TRUE(fresh.GetPlanResult("spja_view", &want).ok());
+  EXPECT_EQ(RowSet(got->output), RowSet(want->output));
+  ExpectSameLineage(*got, *want);
+  std::vector<rid_t> got_rids, want_rids;
+  ASSERT_TRUE(engine.Backward("spja_view", "zipf", {0, 5}, &got_rids).ok());
+  ASSERT_TRUE(fresh.Backward("spja_view", "zipf", {0, 5}, &want_rids).ok());
+  EXPECT_EQ(got_rids, want_rids);
 }
 
 TEST(RefreshPlanTest, NonRefreshableShapeRebuildsWithReason) {

@@ -127,6 +127,60 @@ TEST_F(SmokeEngineTest, DropResult) {
   EXPECT_FALSE(engine_.DropResult("v1").ok());
 }
 
+TEST_F(SmokeEngineTest, QueryResultIsARetainedPlan) {
+  ASSERT_TRUE(engine_.ExecuteQuery("v1", query_).ok());
+  const PlanResult* pr = nullptr;
+  ASSERT_TRUE(engine_.GetPlanResult("v1", &pr).ok());
+  const Table* out = nullptr;
+  ASSERT_TRUE(engine_.GetResult("v1", &out).ok());
+  EXPECT_EQ(out, &pr->output);
+  EXPECT_EQ(pr->output.num_rows(), 10u);
+  ASSERT_NE(pr->spja_artifacts, nullptr);
+  // One namespace: a plan cannot take the query's name.
+  PlanBuilder b;
+  LogicalPlan plan;
+  ASSERT_TRUE(b.Build(b.SpjaBlock(query_), &plan).ok());
+  EXPECT_EQ(engine_.ExecutePlan("v1", plan).code(),
+            Status::Code::kAlreadyExists);
+
+  // FinalizePlan: nothing is pending, so it succeeds and changes nothing.
+  std::vector<rid_t> before, after;
+  ASSERT_TRUE(engine_.Backward("v1", "zipf", {0, 3}, &before).ok());
+  const size_t bytes = engine_.LineageMemoryStats().total_bytes;
+  ASSERT_TRUE(engine_.FinalizePlan("v1").ok());
+  ASSERT_TRUE(engine_.Backward("v1", "zipf", {0, 3}, &after).ok());
+  EXPECT_EQ(before, after);
+  EXPECT_EQ(engine_.LineageMemoryStats().total_bytes, bytes);
+
+  // The trace source carries the query too, so the lazy rewrite compiles
+  // and answers what the index answers.
+  TraceSource src;
+  ASSERT_TRUE(engine_.MakeTraceSource("v1", &src).ok());
+  EXPECT_EQ(src.lineage, &pr->lineage);
+  EXPECT_EQ(src.output, &pr->output);
+  EXPECT_EQ(src.artifacts, pr->spja_artifacts.get());
+  ASSERT_NE(src.query, nullptr);
+  EXPECT_EQ(src.query->fact, zipf_);
+  LineageQuery lazy;
+  ASSERT_TRUE(TraceBuilder::Backward(src, "zipf", {0})
+                  .Strategy(TraceStrategy::kLazy)
+                  .Compile(&lazy)
+                  .ok());
+  EXPECT_EQ(lazy.strategy(), TraceStrategy::kLazy);
+  PlanResult lazy_pr;
+  ASSERT_TRUE(lazy.Execute(CaptureOptions::Inject(), &lazy_pr).ok());
+  std::vector<rid_t> indexed;
+  ASSERT_TRUE(engine_.Backward("v1", "zipf", {0}, &indexed).ok());
+  EXPECT_EQ(lazy_pr.output.num_rows(), indexed.size());
+
+  ASSERT_TRUE(engine_.DropResult("v1").ok());
+  EXPECT_EQ(engine_.GetPlanResult("v1", &pr).code(), Status::Code::kNotFound);
+  EXPECT_EQ(engine_.FinalizePlan("v1").code(), Status::Code::kNotFound);
+  EXPECT_EQ(engine_.MakeTraceSource("v1", &src).code(),
+            Status::Code::kNotFound);
+  EXPECT_EQ(engine_.LineageMemoryStats().total_bytes, 0u);
+}
+
 TEST_F(SmokeEngineTest, ReplaceAndDropTableRefusalsNameBorrower) {
   ASSERT_TRUE(engine_.ExecuteQuery("v1", query_).ok());
 
