@@ -138,8 +138,8 @@ Status LinkBrushSeeds(const std::vector<rid_t>& seeds,
   }
 
   Table rows(view.schema());
-  rows.Reserve(out->rids.size());
-  for (rid_t r : out->rids) rows.AppendRowFrom(view, r);
+  rows.Resize(out->rids.size());
+  rows.GatherRows(view, out->rids.data(), out->rids.size(), 0);
   out->rows = std::move(rows);
   return Status::OK();
 }

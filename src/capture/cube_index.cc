@@ -20,10 +20,6 @@ void CubeIndex::Init(const Table& fact, std::vector<int> sub_cols,
   enabled_ = true;
 }
 
-std::string CubeIndex::StrKey(rid_t rid) const {
-  return EncodeRowKey(*fact_, sub_cols_, rid);
-}
-
 void CubeIndex::AddGroup() {
   if (int_key_) int_maps_.emplace_back();
   else str_maps_.emplace_back();
@@ -44,10 +40,11 @@ void CubeIndex::Update(uint32_t g, rid_t rid) {
       cell_first_rid_[g].push_back(rid);
     }
   } else {
-    auto& map = str_maps_[g];
-    auto [it, inserted] =
-        map.emplace(StrKey(rid), static_cast<uint32_t>(cell_first_rid_[g].size()));
-    cell = it->second;
+    bool inserted = false;
+    cell = FindOrInsertKey(&str_maps_[g],
+                           EncodeRowKeyInto(*fact_, sub_cols_, rid, &key_buf_),
+                           static_cast<uint32_t>(cell_first_rid_[g].size()),
+                           &inserted);
     if (inserted) {
       states_[g].resize(states_[g].size() + stride_);
       layout_.Init(&states_[g][cell * stride_]);

@@ -46,9 +46,8 @@ class CubeIndex {
   size_t MemoryBytes() const;
 
  private:
-  /// Encodes the sub-key of `rid` (int fast path / byte string).
+  /// The sub-key of `rid` on the int fast path.
   int64_t IntKey(rid_t rid) const { return int_col_[rid]; }
-  std::string StrKey(rid_t rid) const;
 
   bool enabled_ = false;
   const Table* fact_ = nullptr;
@@ -63,6 +62,7 @@ class CubeIndex {
   std::vector<std::unordered_map<std::string, uint32_t>> str_maps_;
   std::vector<std::vector<double>> states_;
   std::vector<std::vector<rid_t>> cell_first_rid_;  // for key materialization
+  std::string key_buf_;  // composite sub-key encode buffer, reused per row
 };
 
 }  // namespace smoke

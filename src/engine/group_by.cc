@@ -10,16 +10,6 @@
 
 namespace smoke {
 
-namespace {
-
-/// Composite group keys use the shared injective byte encoding.
-inline std::string EncodeKey(const Table& in, const std::vector<int>& cols,
-                             rid_t rid) {
-  return EncodeRowKey(in, cols, rid);
-}
-
-}  // namespace
-
 struct GroupByInternals {
   /// Creates a fresh handle with bound aggregate layout.
   static std::shared_ptr<GroupByHandle> MakeHandle(const Table& input,
@@ -65,11 +55,12 @@ struct GroupByInternals {
         on_row(slot, r);
       }
     } else {
+      std::string key;
       for (rid_t r = 0; r < n; ++r) {
-        std::string key = EncodeKey(input, h->key_cols_, r);
+        EncodeRowKeyInto(input, h->key_cols_, r, &key);
         uint32_t fresh = static_cast<uint32_t>(h->counts_.size());
-        auto [it, inserted] = h->str_map_.emplace(std::move(key), fresh);
-        uint32_t slot = it->second;
+        bool inserted = false;
+        uint32_t slot = FindOrInsertKey(&h->str_map_, key, fresh, &inserted);
         if (inserted) {
           NewGroup(h, stride, r);
           on_new(slot, r);
@@ -98,9 +89,10 @@ struct GroupByInternals {
   }
 
   /// Probe-or-create for one row (refresh paths). Returns the slot and sets
-  /// *created when a new group was added.
+  /// *created when a new group was added. `key` is the caller's reusable
+  /// encode buffer.
   static uint32_t FindOrCreate(GroupByHandle* h, const Table& in, rid_t r,
-                               bool* created) {
+                               std::string* key, bool* created) {
     const size_t stride = h->layout_.stride();
     uint32_t fresh = static_cast<uint32_t>(h->counts_.size());
     *created = false;
@@ -108,9 +100,10 @@ struct GroupByInternals {
       uint32_t slot = h->int_map_.FindOrInsert(IntKeyOf(*h, in, r), fresh);
       if (slot != IntKeyMap::kNotFound) return slot;
     } else {
-      auto [it, inserted] =
-          h->str_map_.emplace(EncodeKey(in, h->key_cols_, r), fresh);
-      if (!inserted) return it->second;
+      EncodeRowKeyInto(in, h->key_cols_, r, key);
+      bool inserted = false;
+      uint32_t slot = FindOrInsertKey(&h->str_map_, *key, fresh, &inserted);
+      if (!inserted) return slot;
     }
     NewGroup(h, stride, r);
     *created = true;
@@ -151,12 +144,14 @@ struct GroupByInternals {
   }
 };
 
-uint32_t GroupByHandle::Probe(const Table& input, rid_t rid) const {
+uint32_t GroupByHandle::Probe(const Table& input, rid_t rid,
+                              std::string* key) const {
   if (int_key_) {
     return int_map_.Find(
         input.column(static_cast<size_t>(int_key_col_)).ints()[rid]);
   }
-  auto it = str_map_.find(EncodeKey(input, key_cols_, rid));
+  EncodeRowKeyInto(input, key_cols_, rid, key);
+  auto it = str_map_.find(*key);
   return it == str_map_.end() ? IntKeyMap::kNotFound : it->second;
 }
 
@@ -254,6 +249,7 @@ GroupByResult GroupByExecParallel(const Table& input,
     Partial& part = partials[p];
     const Morsel span = parts[p];
     if (want_f) part.local_fw.resize(span.rows());
+    std::string key;
     for (rid_t r = span.begin; r < span.end; ++r) {
       uint32_t fresh = static_cast<uint32_t>(part.counts.size());
       uint32_t slot;
@@ -265,10 +261,8 @@ GroupByResult GroupByExecParallel(const Table& input,
           created = true;
         }
       } else {
-        auto [it, inserted] =
-            part.str_map.emplace(EncodeKey(input, key_cols, r), fresh);
-        slot = it->second;
-        created = inserted;
+        EncodeRowKeyInto(input, key_cols, r, &key);
+        slot = FindOrInsertKey(&part.str_map, key, fresh, &created);
       }
       if (created) {
         part.agg_state.resize(part.agg_state.size() + stride);
@@ -289,6 +283,7 @@ GroupByResult GroupByExecParallel(const Table& input,
   auto& g_first = GroupByInternals::first_rids(h);
   auto& g_counts = GroupByInternals::counts(h);
   auto& g_lists = GroupByInternals::i_rids(h);
+  std::string key;
   for (size_t p = 0; p < np; ++p) {
     Partial& part = partials[p];
     const size_t local_groups = part.counts.size();
@@ -305,10 +300,9 @@ GroupByResult GroupByExecParallel(const Table& input,
           created = true;
         }
       } else {
-        auto [it, inserted] = GroupByInternals::str_map(h).emplace(
-            EncodeKey(input, key_cols, fr), fresh);
-        slot = it->second;
-        created = inserted;
+        EncodeRowKeyInto(input, key_cols, fr, &key);
+        slot = FindOrInsertKey(&GroupByInternals::str_map(h), key, fresh,
+                               &created);
       }
       if (created) {
         g_agg.insert(g_agg.end(),
@@ -483,8 +477,9 @@ GroupByResult GroupByExec(const Table& input, const std::string& input_name,
     Table annotated(as);
     annotated.Reserve(n);
     const size_t out_cols = result.output.num_columns();
+    std::string key;
     for (rid_t r = 0; r < n; ++r) {
-      uint32_t slot = h->Probe(input, r);  // reuses the γht hash table
+      uint32_t slot = h->Probe(input, r, &key);  // reuses the γht hash table
       SMOKE_DCHECK(slot != IntKeyMap::kNotFound);
       annotated.AppendRowFrom(result.output, slot);
       if (mode == CaptureMode::kLogicTup) {
@@ -505,7 +500,7 @@ GroupByResult GroupByExec(const Table& input, const std::string& input_name,
       const auto& ann = annotated.column(out_cols).ints();
       for (size_t row = 0; row < ann.size(); ++row) {
         rid_t r = static_cast<rid_t>(ann[row]);
-        uint32_t slot = h->Probe(input, r);
+        uint32_t slot = h->Probe(input, r, &key);
         if (want_b) bw.Append(slot, r);
         if (want_f) fw[r] = slot;
       }
@@ -569,8 +564,9 @@ void FinalizeDeferredGroupBy(GroupByResult* result, const Table& input,
     sched->ParallelFor(np, [&](size_t p, size_t) {
       const Morsel span = parts[p];
       std::vector<RidVec>* local_bw = want_b ? &part_bw[p] : nullptr;
+      std::string key;
       for (rid_t r = span.begin; r < span.end; ++r) {
-        uint32_t slot = h->Probe(input, r);
+        uint32_t slot = h->Probe(input, r, &key);
         SMOKE_DCHECK(slot != IntKeyMap::kNotFound);
         if (want_b) (*local_bw)[slot].PushBack(r);
         if (want_f) fw_data[r] = slot;
@@ -585,8 +581,9 @@ void FinalizeDeferredGroupBy(GroupByResult* result, const Table& input,
       }
     }
   } else {
+    std::string key;
     for (rid_t r = 0; r < n; ++r) {
-      uint32_t slot = h->Probe(input, r);
+      uint32_t slot = h->Probe(input, r, &key);
       SMOKE_DCHECK(slot != IntKeyMap::kNotFound);
       if (want_b) bw.Append(slot, r);
       if (want_f) fw[r] = slot;
@@ -662,9 +659,10 @@ GroupByDelta GroupByDeltaAppend(GroupByHandle* h, const Table& input,
   const std::vector<int>& key_cols = GroupByInternals::KeyCols(h);
   std::vector<uint8_t> seen(h->num_groups(), 0);
   if (n > first_new_rid) d.slots.reserve(n - first_new_rid);
+  std::string key;
   for (rid_t r = first_new_rid; r < n; ++r) {
     bool created = false;
-    uint32_t g = GroupByInternals::FindOrCreate(h, input, r, &created);
+    uint32_t g = GroupByInternals::FindOrCreate(h, input, r, &key, &created);
     h->layout().Update(GroupByInternals::MutableAggState(h, g), r);
     ++GroupByInternals::counts(h)[g];
     if (created) {
@@ -704,9 +702,10 @@ std::vector<rid_t> RefreshAppend(GroupByResult* result, const Table& input,
   std::vector<rid_t> affected;
   std::vector<uint8_t> seen(h->num_groups(), 0);
   fw.resize(n, kInvalidRid);
+  std::string key;
   for (rid_t r = first_new_rid; r < n; ++r) {
     bool created = false;
-    uint32_t g = GroupByInternals::FindOrCreate(h, input, r, &created);
+    uint32_t g = GroupByInternals::FindOrCreate(h, input, r, &key, &created);
     h->layout().Update(GroupByInternals::MutableAggState(h, g), r);
     ++GroupByInternals::counts(h)[g];
     if (created) {

@@ -62,8 +62,10 @@ class GroupByHandle {
   size_t num_groups() const { return counts_.size(); }
 
   /// Probes the hash table with row `rid` of the original input; returns the
-  /// group slot (== output rid) or IntKeyMap::kNotFound.
-  uint32_t Probe(const Table& input, rid_t rid) const;
+  /// group slot (== output rid) or IntKeyMap::kNotFound. `key` is the
+  /// caller's reusable buffer for composite keys (one per thread), so a
+  /// probe loop allocates no key per row.
+  uint32_t Probe(const Table& input, rid_t rid, std::string* key) const;
 
   const std::vector<uint32_t>& counts() const { return counts_; }
   const AggLayout& layout() const { return layout_; }

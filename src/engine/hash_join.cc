@@ -39,13 +39,25 @@ struct JoinHashTable {
   explicit JoinHashTable(size_t expected) : map(expected) {}
 };
 
+/// Gather pass: left columns from the A rids, right columns from the B
+/// rids, into output rows [dst_row, dst_row + count) — already sized.
+void GatherJoinRows(const Table& left, const rid_t* a_rids, const Table& right,
+                    const rid_t* b_rids, size_t count, size_t dst_row,
+                    Table* out) {
+  out->GatherRows(left, a_rids, count, dst_row);
+  out->GatherRows(right, b_rids, count, dst_row, left.num_columns());
+}
+
 /// Morsel-driven parallel ⋈'probe (kNone, kInject, and pk-fk kDefer — the
-/// modes whose probe loop is stateless given the read-only build table).
-/// B is split into morsels; each morsel probes the shared hash table into a
-/// thread-local output chunk plus per-morsel lineage fragments: A/B backward
-/// rids are absolute, output rids morsel-local. Fragments merge in morsel
-/// order; A's forward index is rebuilt exactly-sized by inverting the merged
-/// A-backward array (per-morsel forward fragments would overlap on A rows).
+/// modes whose probe loop is stateless given the read-only build table), in
+/// two passes on the same scheduler. Probe: B is split into morsels; each
+/// morsel probes the shared hash table and records its (A rid, B rid) output
+/// pairs — the backward fragments, absolute — plus B-forward fragments of
+/// morsel-local output rids. Gather: the output is sized once from the
+/// prefix-summed morsel counts and each morsel gathers its pairs into its
+/// own row range. Fragments merge in morsel order; A's forward index is
+/// rebuilt exactly-sized by inverting the merged A-backward array
+/// (per-morsel forward fragments would overlap on A rows).
 JoinResult HashJoinProbeParallel(const Table& left,
                                  const std::string& left_name,
                                  const Table& right,
@@ -65,11 +77,14 @@ JoinResult HashJoinProbeParallel(const Table& left,
   const bool want_b_side = smoke && opts.WantsTable(right_name);
   const bool want_bw = opts.capture_backward;
   const bool want_fw = opts.capture_forward;
+  const bool gather = spec.materialize_output;
   // A's forward index is derived from the merged backward array, so the
-  // backward fragments are collected whenever either A-side direction is on.
+  // A rids are collected whenever either A-side direction is on.
   const bool need_a_bw = want_a && (want_bw || want_fw);
   const bool need_b_bw = want_b_side && want_bw;
   const bool need_b_fw = want_b_side && want_fw;
+  const bool keep_a = gather || need_a_bw;
+  const bool keep_b = gather || need_b_bw;
 
   const size_t morsel_rows = opts.morsel_rows > 0
                                  ? opts.morsel_rows
@@ -77,22 +92,16 @@ JoinResult HashJoinProbeParallel(const Table& left,
   const std::vector<Morsel> morsels = MakeMorsels(nb, morsel_rows);
   const size_t nm = morsels.size();
 
-  const Schema out_schema = OutputSchema(left, right, right_name, mode);
-  const size_t left_cols = left.num_columns();
-  const size_t right_cols = right.num_columns();
-
-  std::vector<Table> chunks(nm);
-  std::vector<RidArray> a_bw_parts(nm);
-  std::vector<RidArray> b_bw_parts(nm);
+  std::vector<RidArray> a_parts(nm);
+  std::vector<RidArray> b_parts(nm);
   std::vector<RidArray> b_fw_arr_parts(nm);   // pk: B row -> one local out
   std::vector<RidIndex> b_fw_idx_parts(nm);   // M:N: B row -> local outs
   std::vector<size_t> counts(nm, 0);
 
   sched->ParallelFor(nm, [&](size_t m, size_t) {
     const Morsel span = morsels[m];
-    Table chunk(out_schema);
-    RidArray a_bw;
-    RidArray b_bw;
+    RidArray& a_rids = a_parts[m];
+    RidArray& b_rids = b_parts[m];
     RidArray b_fw_arr;
     RidIndex b_fw_idx;
     if (need_b_fw) {
@@ -101,9 +110,8 @@ JoinResult HashJoinProbeParallel(const Table& left,
     }
     if (pk) {
       // Per-morsel join cardinality is bounded by the morsel's B rows.
-      if (spec.materialize_output) chunk.Reserve(span.rows());
-      if (need_a_bw) a_bw.reserve(span.rows());
-      if (need_b_bw) b_bw.reserve(span.rows());
+      if (keep_a) a_rids.reserve(span.rows());
+      if (keep_b) b_rids.reserve(span.rows());
     }
     rid_t local_o = 0;
     for (rid_t b = span.begin; b < span.end; ++b) {
@@ -121,15 +129,8 @@ JoinResult HashJoinProbeParallel(const Table& left,
         match_count = ht.i_rids[slot].size();
       }
       for (size_t i = 0; i < match_count; ++i) {
-        rid_t a = match_begin[i];
-        if (spec.materialize_output) {
-          chunk.AppendRowFrom(left, a);
-          for (size_t c = 0; c < right_cols; ++c) {
-            chunk.mutable_column(left_cols + c).AppendFrom(right.column(c), b);
-          }
-        }
-        if (need_a_bw) a_bw.push_back(a);
-        if (need_b_bw) b_bw.push_back(b);
+        if (keep_a) a_rids.push_back(match_begin[i]);
+        if (keep_b) b_rids.push_back(b);
         if (need_b_fw) {
           if (pk) b_fw_arr[b - span.begin] = local_o;
           else b_fw_idx.Append(b - span.begin, local_o);
@@ -138,25 +139,22 @@ JoinResult HashJoinProbeParallel(const Table& left,
       }
     }
     counts[m] = local_o;
-    chunks[m] = std::move(chunk);
-    a_bw_parts[m] = std::move(a_bw);
-    b_bw_parts[m] = std::move(b_bw);
     b_fw_arr_parts[m] = std::move(b_fw_arr);
     b_fw_idx_parts[m] = std::move(b_fw_idx);
   });
 
-  // ---- deterministic merge in morsel order ----
   const std::vector<rid_t> offsets = ExclusiveOffsets(counts);
   const rid_t total = offsets[nm];
 
   JoinResult result;
-  result.output = Table(out_schema);
+  result.output = Table(OutputSchema(left, right, right_name, mode));
   result.output_cardinality = total;
-  if (spec.materialize_output) {
-    result.output.Reserve(total);
-    for (size_t m = 0; m < nm; ++m) {
-      result.output.AppendAllRows(std::move(chunks[m]));
-    }
+  if (gather) {
+    result.output.Resize(total);
+    sched->ParallelFor(nm, [&](size_t m, size_t) {
+      GatherJoinRows(left, a_parts[m].data(), right, b_parts[m].data(),
+                     counts[m], offsets[m], &result.output);
+    });
   }
 
   if (mode != CaptureMode::kNone) {
@@ -164,15 +162,15 @@ JoinResult HashJoinProbeParallel(const Table& left,
     TableLineage& lb = result.lineage.AddInput(right_name, &right);
     result.lineage.set_output_cardinality(total);
     if (need_a_bw) {
-      RidArray a_bw = ConcatBackwardArrays(std::move(a_bw_parts));
+      RidArray a_bw = ConcatBackwardArrays(std::move(a_parts));
       if (want_fw) {
         la.forward = LineageIndex::FromIndex(InvertBackwardArray(a_bw, na));
       }
       if (want_bw) la.backward = LineageIndex::FromArray(std::move(a_bw));
     }
     if (need_b_bw) {
-      lb.backward = LineageIndex::FromArray(
-          ConcatBackwardArrays(std::move(b_bw_parts)));
+      lb.backward =
+          LineageIndex::FromArray(ConcatBackwardArrays(std::move(b_parts)));
     }
     if (need_b_fw) {
       if (pk) {
@@ -291,19 +289,26 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
   }
 
   // ---- ⋈'probe: probe phase with B ----
+  // Baseline and Smoke record each output's (A rid, B rid) pair and gather
+  // the output after the probe; the Logic and Phys baselines copy rows
+  // inline, as they are measured.
+  const bool gather =
+      spec.materialize_output && (mode == CaptureMode::kNone || smoke);
+  const bool copy_rows = spec.materialize_output && !gather;
+  const bool keep_a = gather || (want_a && want_bw && !defer_backward);
+  const bool keep_b = gather || (want_b_side && want_bw);
   JoinResult result;
   result.output = Table(OutputSchema(left, right, right_name, mode));
-  if (pk && spec.materialize_output) {
-    // Pk-fk join cardinality is bounded by |B| — pre-size the output for
-    // every mode (an engine-level optimization, not a capture one).
+  if (pk && copy_rows) {
+    // Pk-fk join cardinality is bounded by |B| — pre-size the output.
     result.output.Reserve(nb);
   }
   const size_t left_cols = left.num_columns();
   const size_t right_cols = right.num_columns();
   const size_t ann_a_col = left_cols + right_cols;
 
-  RidArray a_bw;
-  RidArray b_bw;
+  RidArray a_bw;       // A rid per output (the output's A gather list)
+  RidArray b_bw;       // B rid per output
   RidIndex b_fw_idx;   // M:N: B row -> many outputs
   RidArray b_fw_arr;   // pk-fk: B row -> exactly one output
   if (want_b_side && want_fw) {
@@ -311,9 +316,9 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
     else b_fw_idx.Resize(nb);
   }
   if (pk) {
-    // Join cardinality <= |B|: pre-allocate backward arrays.
-    if (want_a && want_bw) a_bw.reserve(nb);
-    if (want_b_side && want_bw) b_bw.reserve(nb);
+    // Join cardinality <= |B|: pre-allocate the rid arrays.
+    if (keep_a) a_bw.reserve(nb);
+    if (keep_b) b_bw.reserve(nb);
   }
 
   if (phys) {
@@ -340,25 +345,19 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
     if (defer) ht.o_rids[slot].PushBack(o);  // first output rid of this run
     for (size_t m = 0; m < match_count; ++m) {
       rid_t a = match_begin[m];
-      if (spec.materialize_output) {
+      if (copy_rows) {
         result.output.AppendRowFrom(left, a);
-        for (size_t c = 0; c < right_cols; ++c) {
-          result.output.mutable_column(left_cols + c)
-              .AppendFrom(right.column(c), b);
-        }
+        result.output.AppendRowFrom(right, b, left_cols);
       }
       if (logic_rid) {
         result.output.mutable_column(ann_a_col).AppendInt(a);
         result.output.mutable_column(ann_a_col + 1).AppendInt(b);
       }
-      if (inject) {
-        if (want_a && want_bw) a_bw.push_back(a);
-        if (want_a && want_fw) a_fw.Append(a, o);
-      } else if (defer && !defer_backward) {
-        // Smoke-D-DeferForw: backward for A inline, forward deferred.
-        if (want_a && want_bw) a_bw.push_back(a);
-      }
-      if (want_b_side && want_bw) b_bw.push_back(b);
+      // Under Defer, A's backward array is recorded inline only for the
+      // output gather or Smoke-D-DeferForw; scanht builds it otherwise.
+      if (keep_a) a_bw.push_back(a);
+      if (inject && want_a && want_fw) a_fw.Append(a, o);
+      if (keep_b) b_bw.push_back(b);
       if (want_b_side && want_fw) {
         if (pk) b_fw_arr[b] = o;
         else b_fw_idx.Append(b, o);
@@ -377,11 +376,17 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
     spec.writer_right->FinishCapture(o);
   }
 
+  if (gather) {
+    result.output.Resize(o);
+    GatherJoinRows(left, a_bw.data(), right, b_bw.data(), o, 0,
+                   &result.output);
+  }
+
   // ---- scanht: deferred index construction for A (Section 3.2.4) ----
   if (defer && want_a) {
     // Exact cardinalities are now known: each entry produced
     // |i_rids| * |o_rids| outputs.
-    if (defer_backward && want_bw) a_bw.assign(o, kInvalidRid);
+    if (defer_backward && want_bw) a_bw = RidArray(o, kInvalidRid);
     const size_t num_entries = ht.i_rids.size();
     for (size_t s = 0; s < num_entries; ++s) {
       const RidVec& in_rids = ht.i_rids[s];

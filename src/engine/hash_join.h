@@ -25,6 +25,13 @@
 //    per output row — via CaptureOptions::writer (A side) and
 //    JoinSpec::writer_right (B side).
 //
+// Baseline and Smoke modes probe, then gather: the probe records each
+// output's (A rid, B rid) pair — the backward rid arrays Inject keeps — and
+// the output is gathered afterwards, left columns from the A rids and right
+// columns from the B rids, into exactly-sized columns (Column::Gather). The
+// morsel-parallel probe gathers per morsel into its prefix-summed output
+// range. The Logic and Phys baselines copy each output row inline.
+//
 // In composable plans this kernel backs the kHashJoin node
 // (plan/operator.h): the left child is the build side, the right the probe
 // side, and the four indexes become the node's two lineage fragments.

@@ -22,12 +22,15 @@ Schema OutputSchema(const Table& input, CaptureMode mode) {
   return s;
 }
 
-/// Morsel-driven parallel selection (Smoke modes only; kDefer maps to
-/// kInject for selection as in the sequential path). Each morsel filters its
-/// row range into a thread-local output chunk and emits a per-morsel lineage
-/// fragment — backward holds absolute input rids, forward holds morsel-local
-/// output rids. Merging in morsel order (lineage/fragment_merge.h) makes the
-/// result bit-identical to the sequential loop.
+/// Morsel-driven parallel selection (Smoke modes and kNone; kDefer maps to
+/// kInject for selection as in the sequential path), in two passes on the
+/// same scheduler. Filter: each morsel records the rids of its passing rows
+/// — the selection vector, which is also its backward lineage fragment —
+/// and a forward fragment of morsel-local output rids. Gather: the output is
+/// sized once from the prefix-summed morsel counts and each morsel gathers
+/// its rids into its own row range. Merging fragments in morsel order
+/// (lineage/fragment_merge.h) makes the result bit-identical to the
+/// sequential loop.
 SelectResult SelectExecParallel(const Table& input,
                                 const std::string& input_name,
                                 const PredicateList& plist,
@@ -44,56 +47,49 @@ SelectResult SelectExecParallel(const Table& input,
   const std::vector<Morsel> morsels = MakeMorsels(n, morsel_rows);
   const size_t nm = morsels.size();
 
-  // Thread-local fragment buffers, keyed by morsel index so the merge never
-  // depends on which worker ran which morsel.
-  std::vector<Table> chunks(nm);
-  std::vector<RidArray> bw_parts(nm);
+  // Per-morsel buffers, keyed by morsel index so the merge never depends on
+  // which worker ran which morsel.
+  std::vector<RidArray> sel_parts(nm);
   std::vector<RidArray> fw_parts(nm);
   std::vector<size_t> counts(nm, 0);
   const double sel = opts.hints != nullptr
                          ? opts.hints->selection_selectivity
                          : -1.0;
-  const Schema out_schema = OutputSchema(input, opts.mode);
 
   sched->ParallelFor(nm, [&](size_t m, size_t) {
     const Morsel span = morsels[m];
-    Table chunk(out_schema);
-    RidArray bw;
+    RidArray& picked = sel_parts[m];
     RidArray fw;
     if (want_f) fw.assign(span.rows(), kInvalidRid);
-    if (want_b && sel >= 0) {
-      bw.reserve(static_cast<size_t>(sel * static_cast<double>(span.rows())) +
-                 1);
+    if (sel >= 0) {
+      picked.reserve(
+          static_cast<size_t>(sel * static_cast<double>(span.rows())) + 1);
     }
-    rid_t local_o = 0;
     for (rid_t r = span.begin; r < span.end; ++r) {
       if (!plist.Eval(r)) continue;
-      chunk.AppendRowFrom(input, r);
-      if (want_b) bw.push_back(r);
-      if (want_f) fw[r - span.begin] = local_o;
-      ++local_o;
+      if (want_f) fw[r - span.begin] = static_cast<rid_t>(picked.size());
+      picked.push_back(r);
     }
-    counts[m] = local_o;
-    chunks[m] = std::move(chunk);
-    bw_parts[m] = std::move(bw);
+    counts[m] = picked.size();
     fw_parts[m] = std::move(fw);
   });
 
-  // ---- deterministic merge in morsel order ----
   const std::vector<rid_t> offsets = ExclusiveOffsets(counts);
   const rid_t total = offsets[nm];
 
   SelectResult result;
-  result.output = Table(out_schema);
-  result.output.Reserve(total);
-  for (size_t m = 0; m < nm; ++m) {
-    result.output.AppendAllRows(std::move(chunks[m]));
-  }
+  result.output = Table(input.schema());
+  result.output.Resize(total);
+  sched->ParallelFor(nm, [&](size_t m, size_t) {
+    result.output.GatherRows(input, sel_parts[m].data(), counts[m],
+                             offsets[m]);
+  });
+
   if (opts.mode != CaptureMode::kNone) {
     TableLineage& lin = result.lineage.AddInput(input_name, &input);
     if (want_b) {
       lin.backward =
-          LineageIndex::FromArray(ConcatBackwardArrays(std::move(bw_parts)));
+          LineageIndex::FromArray(ConcatBackwardArrays(std::move(sel_parts)));
     }
     if (want_f) {
       std::vector<rid_t> in_begins(nm);
@@ -123,29 +119,31 @@ SelectResult SelectExecRange(const Table& input, const std::string& input_name,
   const bool want_b = smoke_capture && opts.capture_backward;
   const bool want_f = smoke_capture && opts.capture_forward;
 
+  // Filter: the passing rids are the selection vector and, when captured,
+  // the backward rid array.
   RidArray backward;
   RidArray forward;
   if (want_f) forward.assign(n, kInvalidRid);
-  if (want_b) {
-    // EC hint: pre-allocate the backward rid array from the selectivity
-    // estimate; underestimates fall back to vector growth.
-    double sel = opts.hints != nullptr ? opts.hints->selection_selectivity
-                                       : -1.0;
-    if (sel >= 0) {
-      backward.reserve(
-          static_cast<size_t>(sel * static_cast<double>(row_end - row_begin)) +
-          1);
-    }
+  // EC hint: pre-allocate the rid array from the selectivity estimate;
+  // underestimates fall back to vector growth.
+  const double sel = opts.hints != nullptr
+                         ? opts.hints->selection_selectivity
+                         : -1.0;
+  if (sel >= 0) {
+    backward.reserve(
+        static_cast<size_t>(sel * static_cast<double>(row_end - row_begin)) +
+        1);
   }
-
-  rid_t ctr_o = 0;
   for (rid_t ctr_i = row_begin; ctr_i < row_end; ++ctr_i) {
     if (!plist.Eval(ctr_i)) continue;
-    result.output.AppendRowFrom(input, ctr_i);
-    if (want_b) backward.push_back(ctr_i);
-    if (want_f) forward[ctr_i] = ctr_o;
-    ++ctr_o;
+    if (want_f) forward[ctr_i] = static_cast<rid_t>(backward.size());
+    backward.push_back(ctr_i);
   }
+  const rid_t ctr_o = static_cast<rid_t>(backward.size());
+
+  // Gather: one typed loop per column into the exactly-sized output.
+  result.output.Resize(ctr_o);
+  result.output.GatherRows(input, backward.data(), ctr_o, 0);
 
   if (opts.mode != CaptureMode::kNone) {
     TableLineage& lin = result.lineage.AddInput(input_name, &input);

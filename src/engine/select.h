@@ -8,6 +8,13 @@
 // Defer is strictly inferior to Inject for selection and is mapped to
 // Inject, as in the paper.
 //
+// Baseline and Smoke modes filter, then gather: the filter loop records the
+// passing rids — the selection vector, which is the backward rid array
+// capture keeps (reuse, paper P4) — and the output is then gathered one
+// column at a time into exactly-sized columns (Column::Gather). The
+// morsel-parallel path does both passes per morsel on the same scheduler.
+// The Logic baselines copy each passing row inline with its annotation.
+//
 // In composable plans this kernel backs the kSelect node (plan/operator.h);
 // its rid arrays become the node's lineage fragment.
 #ifndef SMOKE_ENGINE_SELECT_H_

@@ -39,14 +39,17 @@ SetOpResult SetUnionExec(const Table& a, const std::string& a_name,
 
   std::unordered_map<std::string, uint32_t> ht;
   ht.reserve(na);
+  std::string key;  // reused by every encode below
   std::vector<RidVec> a_rids, b_rids;   // Inject
   std::vector<rid_t> repr;              // representative rid (A- or B-space)
   std::vector<uint8_t> repr_from_a;
 
   // ∪ht: build phase over A.
   for (rid_t r = 0; r < na; ++r) {
-    auto [it, inserted] =
-        ht.emplace(EncodeRowKey(a, cols, r), static_cast<uint32_t>(repr.size()));
+    EncodeRowKeyInto(a, cols, r, &key);
+    bool inserted = false;
+    const uint32_t slot = FindOrInsertKey(
+        &ht, key, static_cast<uint32_t>(repr.size()), &inserted);
     if (inserted) {
       repr.push_back(r);
       repr_from_a.push_back(1);
@@ -55,12 +58,14 @@ SetOpResult SetUnionExec(const Table& a, const std::string& a_name,
         b_rids.emplace_back();
       }
     }
-    if (inject) a_rids[it->second].PushBack(r);
+    if (inject) a_rids[slot].PushBack(r);
   }
   // ∪p: probe/append phase over B.
   for (rid_t r = 0; r < nb; ++r) {
-    auto [it, inserted] =
-        ht.emplace(EncodeRowKey(b, cols, r), static_cast<uint32_t>(repr.size()));
+    EncodeRowKeyInto(b, cols, r, &key);
+    bool inserted = false;
+    const uint32_t slot = FindOrInsertKey(
+        &ht, key, static_cast<uint32_t>(repr.size()), &inserted);
     if (inserted) {
       repr.push_back(r);
       repr_from_a.push_back(0);
@@ -69,7 +74,7 @@ SetOpResult SetUnionExec(const Table& a, const std::string& a_name,
         b_rids.emplace_back();
       }
     }
-    if (inject) b_rids[it->second].PushBack(r);
+    if (inject) b_rids[slot].PushBack(r);
   }
 
   // ∪scan: emit one output row per entry; slot == output rid.
@@ -101,12 +106,12 @@ SetOpResult SetUnionExec(const Table& a, const std::string& a_name,
     a_bw.Resize(num_out);
     b_bw.Resize(num_out);
     for (rid_t r = 0; r < na; ++r) {
-      uint32_t s = ht.find(EncodeRowKey(a, cols, r))->second;
+      uint32_t s = ht.find(EncodeRowKeyInto(a, cols, r, &key))->second;
       a_bw.Append(s, r);
       a_fw[r] = s;
     }
     for (rid_t r = 0; r < nb; ++r) {
-      uint32_t s = ht.find(EncodeRowKey(b, cols, r))->second;
+      uint32_t s = ht.find(EncodeRowKeyInto(b, cols, r, &key))->second;
       b_bw.Append(s, r);
       b_fw[r] = s;
     }
@@ -172,14 +177,17 @@ SetOpResult SetIntersectExec(const Table& a, const std::string& a_name,
 
   std::unordered_map<std::string, uint32_t> ht;
   ht.reserve(na);
+  std::string key;  // reused by every encode below
   std::vector<RidVec> a_rids, b_rids;
   std::vector<rid_t> repr;
   std::vector<uint8_t> matched;  // the paper's b_bit
 
   // ∩ht: build over A.
   for (rid_t r = 0; r < na; ++r) {
-    auto [it, inserted] =
-        ht.emplace(EncodeRowKey(a, cols, r), static_cast<uint32_t>(repr.size()));
+    EncodeRowKeyInto(a, cols, r, &key);
+    bool inserted = false;
+    const uint32_t slot = FindOrInsertKey(
+        &ht, key, static_cast<uint32_t>(repr.size()), &inserted);
     if (inserted) {
       repr.push_back(r);
       matched.push_back(0);
@@ -188,11 +196,11 @@ SetOpResult SetIntersectExec(const Table& a, const std::string& a_name,
         b_rids.emplace_back();
       }
     }
-    if (inject) a_rids[it->second].PushBack(r);
+    if (inject) a_rids[slot].PushBack(r);
   }
   // ∩p: probe with B.
   for (rid_t r = 0; r < nb; ++r) {
-    auto it = ht.find(EncodeRowKey(b, cols, r));
+    auto it = ht.find(EncodeRowKeyInto(b, cols, r, &key));
     if (it == ht.end()) continue;
     matched[it->second] = 1;
     if (inject) b_rids[it->second].PushBack(r);
@@ -231,13 +239,13 @@ SetOpResult SetIntersectExec(const Table& a, const std::string& a_name,
   } else if (defer) {
     // ⋈'∩: re-probe for each relation.
     for (rid_t r = 0; r < na; ++r) {
-      uint32_t s = ht.find(EncodeRowKey(a, cols, r))->second;
+      uint32_t s = ht.find(EncodeRowKeyInto(a, cols, r, &key))->second;
       if (entry_oid[s] == kInvalidRid) continue;
       a_bw.Append(entry_oid[s], r);
       a_fw[r] = entry_oid[s];
     }
     for (rid_t r = 0; r < nb; ++r) {
-      auto it = ht.find(EncodeRowKey(b, cols, r));
+      auto it = ht.find(EncodeRowKeyInto(b, cols, r, &key));
       if (it == ht.end() || entry_oid[it->second] == kInvalidRid) continue;
       b_bw.Append(entry_oid[it->second], r);
       b_fw[r] = entry_oid[it->second];
@@ -265,14 +273,17 @@ SetOpResult BagIntersectExec(const Table& a, const std::string& a_name,
 
   std::unordered_map<std::string, uint32_t> ht;
   ht.reserve(na);
+  std::string key;  // reused by every encode below
   // Inject keeps the duplicate rids themselves; plain/Defer keep counts.
   std::vector<RidVec> a_rids, b_rids;
   std::vector<uint32_t> a_matches, b_matches;
   std::vector<rid_t> repr;
 
   for (rid_t r = 0; r < na; ++r) {
-    auto [it, inserted] =
-        ht.emplace(EncodeRowKey(a, cols, r), static_cast<uint32_t>(repr.size()));
+    EncodeRowKeyInto(a, cols, r, &key);
+    bool inserted = false;
+    const uint32_t slot = FindOrInsertKey(
+        &ht, key, static_cast<uint32_t>(repr.size()), &inserted);
     if (inserted) {
       repr.push_back(r);
       a_matches.push_back(0);
@@ -282,11 +293,11 @@ SetOpResult BagIntersectExec(const Table& a, const std::string& a_name,
         b_rids.emplace_back();
       }
     }
-    ++a_matches[it->second];
-    if (inject) a_rids[it->second].PushBack(r);
+    ++a_matches[slot];
+    if (inject) a_rids[slot].PushBack(r);
   }
   for (rid_t r = 0; r < nb; ++r) {
-    auto it = ht.find(EncodeRowKey(b, cols, r));
+    auto it = ht.find(EncodeRowKeyInto(b, cols, r, &key));
     if (it == ht.end()) continue;
     ++b_matches[it->second];
     if (inject) b_rids[it->second].PushBack(r);
@@ -337,7 +348,7 @@ SetOpResult BagIntersectExec(const Table& a, const std::string& a_name,
     // follow from first_oid and the (i, j) run structure.
     std::vector<uint32_t> seen(repr.size(), 0);
     for (rid_t r = 0; r < na; ++r) {
-      uint32_t s = ht.find(EncodeRowKey(a, cols, r))->second;
+      uint32_t s = ht.find(EncodeRowKeyInto(a, cols, r, &key))->second;
       if (first_oid[s] == kInvalidRid) {
         continue;
       }
@@ -351,7 +362,7 @@ SetOpResult BagIntersectExec(const Table& a, const std::string& a_name,
     }
     std::fill(seen.begin(), seen.end(), 0);
     for (rid_t r = 0; r < nb; ++r) {
-      auto it = ht.find(EncodeRowKey(b, cols, r));
+      auto it = ht.find(EncodeRowKeyInto(b, cols, r, &key));
       if (it == ht.end() || first_oid[it->second] == kInvalidRid) continue;
       uint32_t s = it->second;
       uint32_t j = seen[s]++;
@@ -386,22 +397,25 @@ SetOpResult SetDifferenceExec(const Table& a, const std::string& a_name,
 
   std::unordered_map<std::string, uint32_t> ht;
   ht.reserve(na);
+  std::string key;  // reused by every encode below
   std::vector<RidVec> a_rids;
   std::vector<rid_t> repr;
   std::vector<uint8_t> survives;  // the paper's b_bit, initialized to 1
 
   for (rid_t r = 0; r < na; ++r) {
-    auto [it, inserted] =
-        ht.emplace(EncodeRowKey(a, cols, r), static_cast<uint32_t>(repr.size()));
+    EncodeRowKeyInto(a, cols, r, &key);
+    bool inserted = false;
+    const uint32_t slot = FindOrInsertKey(
+        &ht, key, static_cast<uint32_t>(repr.size()), &inserted);
     if (inserted) {
       repr.push_back(r);
       survives.push_back(1);
       if (inject) a_rids.emplace_back();
     }
-    if (inject) a_rids[it->second].PushBack(r);
+    if (inject) a_rids[slot].PushBack(r);
   }
   for (rid_t r = 0; r < nb; ++r) {
-    auto it = ht.find(EncodeRowKey(b, cols, r));
+    auto it = ht.find(EncodeRowKeyInto(b, cols, r, &key));
     if (it != ht.end()) survives[it->second] = 0;
   }
 

@@ -42,34 +42,16 @@ struct KeyBinder {
     if (int_fast) fast_col = parts[0].col->ints().data();
   }
 
-  std::string StrKey(rid_t fact_rid, const rid_t* dim_rids) const {
-    std::string key;
-    key.reserve(parts.size() * 8);
+  /// Overwrites `*key` with the composite key (engine/key_encode.h bytes).
+  void StrKeyInto(rid_t fact_rid, const rid_t* dim_rids,
+                  std::string* key) const {
+    key->clear();
     for (const Part& p : parts) {
       rid_t rid = p.table == ColRef::kFact
                       ? fact_rid
                       : dim_rids[static_cast<size_t>(p.table)];
-      switch (p.col->type()) {
-        case DataType::kInt64: {
-          int64_t v = p.col->ints()[rid];
-          key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kFloat64: {
-          double v = p.col->doubles()[rid];
-          key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kString: {
-          const std::string& v = p.col->strings()[rid];
-          uint32_t len = static_cast<uint32_t>(v.size());
-          key.append(reinterpret_cast<const char*>(&len), sizeof(len));
-          key.append(v);
-          break;
-        }
-      }
+      AppendKeyPart(*p.col, rid, key);
     }
-    return key;
   }
 };
 
@@ -222,23 +204,25 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
     return g;
   };
 
+  std::string key_buf;  // reused by every composite-key probe
   auto find_or_create = [&](rid_t r, const rid_t* dim_rids) -> uint32_t {
+    uint32_t fresh = static_cast<uint32_t>(counts.size());
     if (keys.int_fast) {
-      uint32_t fresh = static_cast<uint32_t>(counts.size());
       uint32_t g = gmap.FindOrInsert(keys.fast_col[r], fresh);
       if (g == IntKeyMap::kNotFound) g = new_group(r, dim_rids);
       return g;
     }
-    std::string key = keys.StrKey(r, dim_rids);
-    auto [it, inserted] =
-        smap.emplace(std::move(key), static_cast<uint32_t>(counts.size()));
+    keys.StrKeyInto(r, dim_rids, &key_buf);
+    bool inserted = false;
+    uint32_t g = FindOrInsertKey(&smap, key_buf, fresh, &inserted);
     if (inserted) return new_group(r, dim_rids);
-    return it->second;
+    return g;
   };
 
   auto find_group = [&](rid_t r, const rid_t* dim_rids) -> uint32_t {
     if (keys.int_fast) return gmap.Find(keys.fast_col[r]);
-    auto it = smap.find(keys.StrKey(r, dim_rids));
+    keys.StrKeyInto(r, dim_rids, &key_buf);
+    auto it = smap.find(key_buf);
     return it == smap.end() ? IntKeyMap::kNotFound : it->second;
   };
 

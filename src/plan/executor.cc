@@ -117,31 +117,11 @@ void ComposePlanLineage(const LogicalPlan& plan,
   }
 }
 
-}  // namespace
-
-Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
-                   PlanResult* out) {
-  if (plan.root() < 0) return Status::InvalidArgument("plan has no root");
-  if (opts.retain_refresh_state && opts.defer_plan_finalize) {
-    return Status::InvalidArgument(
-        "retain_refresh_state needs finalized capture and composed indexes; "
-        "it cannot be combined with defer_plan_finalize");
-  }
-
-  // Default path: rewrite the plan (src/optimizer/) and execute the
-  // optimized copy. Rewrites preserve results and lineage bit-identically;
-  // opts.optimize = false is the ablation escape hatch.
-  if (opts.optimize) {
-    LogicalPlan optimized;
-    PlanExplain explain;
-    SMOKE_RETURN_NOT_OK(OptimizePlan(plan, &optimized, &explain));
-    CaptureOptions inner = opts;
-    inner.optimize = false;
-    SMOKE_RETURN_NOT_OK(ExecutePlan(optimized, inner, out));
-    out->explain = std::move(explain);
-    return Status::OK();
-  }
-
+/// Executes a plan whose node schemas have been inferred and validated
+/// (OptimizePlan or InferPlanSchemas), so kernels see no malformed column
+/// reference.
+Status ExecuteValidatedPlan(const LogicalPlan& plan, const CaptureOptions& opts,
+                            PlanResult* out) {
   const size_t n = plan.num_nodes();
   const int root = plan.root();
 
@@ -299,6 +279,36 @@ Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
     out->refresh = std::move(rs);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
+                   PlanResult* out) {
+  if (plan.root() < 0) return Status::InvalidArgument("plan has no root");
+  if (opts.retain_refresh_state && opts.defer_plan_finalize) {
+    return Status::InvalidArgument(
+        "retain_refresh_state needs finalized capture and composed indexes; "
+        "it cannot be combined with defer_plan_finalize");
+  }
+
+  // Default path: rewrite the plan (src/optimizer/) and execute the
+  // optimized copy. Rewrites preserve results and lineage bit-identically;
+  // opts.optimize = false is the ablation escape hatch. Either way the
+  // node schemas are inferred exactly once before execution.
+  if (opts.optimize) {
+    LogicalPlan optimized;
+    PlanExplain explain;
+    SMOKE_RETURN_NOT_OK(OptimizePlan(plan, &optimized, &explain));
+    CaptureOptions inner = opts;
+    inner.optimize = false;
+    SMOKE_RETURN_NOT_OK(ExecuteValidatedPlan(optimized, inner, out));
+    out->explain = std::move(explain);
+    return Status::OK();
+  }
+  std::vector<Schema> schemas;
+  SMOKE_RETURN_NOT_OK(InferPlanSchemas(plan, &schemas));
+  return ExecuteValidatedPlan(plan, opts, out);
 }
 
 Status PlanResult::FinalizeDeferred() {

@@ -502,9 +502,9 @@ class TraceOperator : public Operator {
     std::vector<StageFrag> stages;
     stages.push_back(std::move(base));
 
-    for (const TraceHopSpec& hop : s.fused_hops) {
-      // The literal chain materializes the previous stage's endpoint
-      // before this hop probes; keep its bounds check (and error text).
+    // The literal chain materializes every stage's endpoint rows; each
+    // stage keeps that bounds check (and its error text).
+    auto check_endpoint = [&]() -> Status {
       if (endpoint == nullptr) {
         return Status::InvalidArgument("trace endpoint table not available");
       }
@@ -514,6 +514,11 @@ class TraceOperator : public Operator {
                                          " out of range for endpoint");
         }
       }
+      return Status::OK();
+    };
+
+    for (const TraceHopSpec& hop : s.fused_hops) {
+      SMOKE_RETURN_NOT_OK(check_endpoint());
       const QueryLineage& hl = *hop.lineage;
       int hidx = hl.FindInput(hop.relation);
       if (hidx < 0) {
@@ -538,16 +543,9 @@ class TraceOperator : public Operator {
       endpoint = hop.endpoint;
     }
 
+    // Validated once here: the filters keep a subset of these rids.
+    SMOKE_RETURN_NOT_OK(check_endpoint());
     if (!s.filters.empty()) {
-      if (endpoint == nullptr) {
-        return Status::InvalidArgument("trace endpoint table not available");
-      }
-      for (rid_t r : rids) {
-        if (r >= endpoint->num_rows()) {
-          return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                         " out of range for endpoint");
-        }
-      }
       // Evaluate against the endpoint rows the literal select would have
       // seen (the filters reference endpoint columns only — the rid
       // column is never a predicate target). Same fragment shape as the
@@ -572,23 +570,17 @@ class TraceOperator : public Operator {
       stages.push_back(std::move(sf));
     }
 
-    // Materialize the endpoint rows (the secondary index scan), bounds-
-    // validated, with the traced rid as the trailing column.
-    if (endpoint == nullptr) {
-      return Status::InvalidArgument("trace endpoint table not available");
-    }
+    // Materialize the endpoint rows (the secondary index scan) with the
+    // traced rid as the trailing column.
     Schema schema = endpoint->schema();
     schema.AddField(kTraceRidColumn, DataType::kInt64);
     Table output(schema);
-    output.Reserve(rids.size());
-    Column& rid_out = output.mutable_column(endpoint->num_columns());
-    for (rid_t r : rids) {
-      if (r >= endpoint->num_rows()) {
-        return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                       " out of range for endpoint");
-      }
-      output.AppendRowFrom(*endpoint, r);
-      rid_out.AppendInt(static_cast<int64_t>(r));
+    output.Resize(rids.size());
+    output.GatherRows(*endpoint, rids.data(), rids.size(), 0);
+    std::vector<int64_t>& rid_out =
+        output.mutable_column(endpoint->num_columns()).mutable_ints();
+    for (size_t i = 0; i < rids.size(); ++i) {
+      rid_out[i] = static_cast<int64_t>(rids[i]);
     }
     out->output = std::move(output);
     out->output_cardinality = rids.size();

@@ -111,8 +111,8 @@ Status MaterializeRowsChecked(const Table& table,
                               const std::vector<rid_t>& rids, Table* out) {
   SMOKE_RETURN_NOT_OK(ValidateRids(rids, table.num_rows(), "traced"));
   Table result(table.schema());
-  result.Reserve(rids.size());
-  for (rid_t r : rids) result.AppendRowFrom(table, r);
+  result.Resize(rids.size());
+  result.GatherRows(table, rids.data(), rids.size(), 0);
   *out = std::move(result);
   return Status::OK();
 }

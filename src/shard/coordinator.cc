@@ -678,17 +678,17 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
     std::vector<MergedGroup> groups;
     std::unordered_map<std::string, size_t> slot_of;
     std::vector<rid_t> tmp;
+    std::string key;
     for (uint32_t s = 0; s < S; ++s) {
       const GroupByResult& gr = partials[s];
       const std::vector<double>& state = gr.handle->agg_state();
       const size_t ng = gr.handle->num_groups();
       const LineageIndex& gb = gr.lineage.input(0).backward;
       for (size_t g = 0; g < ng; ++g) {
-        std::string key =
-            EncodeRowKey(gr.output, out_key_cols, static_cast<rid_t>(g));
+        EncodeRowKeyInto(gr.output, out_key_cols, static_cast<rid_t>(g), &key);
         tmp.clear();
         gb.TraceInto(static_cast<rid_t>(g), &tmp);  // ascending local rids
-        auto [it, fresh] = slot_of.emplace(std::move(key), groups.size());
+        auto [it, fresh] = slot_of.emplace(key, groups.size());
         if (fresh) {
           groups.emplace_back();
           MergedGroup& m = groups.back();
@@ -750,10 +750,15 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
   const int boundary = region.exchange >= 0 ? region.exchange : region.root;
   Table gathered;
   if (region.exchange < 0) {
+    // One gather per run of consecutive boundary rows owned by one shard.
     gathered = Table(runs[0].rows->schema());
-    gathered.Reserve(region_rows);
-    for (const ShardLoc& loc : owner) {
-      gathered.AppendRowFrom(*runs[loc.shard].rows, loc.local);
+    gathered.Resize(region_rows);
+    std::vector<rid_t> locals(region_rows);
+    for (size_t q = 0; q < region_rows; ++q) locals[q] = owner[q].local;
+    for (size_t q0 = 0, q1 = 0; q0 < region_rows; q0 = q1) {
+      const uint32_t s = owner[q0].shard;
+      while (q1 < region_rows && owner[q1].shard == s) ++q1;
+      gathered.GatherRows(*runs[s].rows, locals.data() + q0, q1 - q0, q0);
     }
   }
   Table& boundary_table = region.exchange >= 0 ? exchange_out : gathered;

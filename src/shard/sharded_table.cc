@@ -59,8 +59,8 @@ Status ShardedTable::Create(const Table* base, const ShardingSpec& spec,
   for (uint32_t s = 0; s < spec.num_shards; ++s) {
     Table slice(base->schema());
     const std::vector<rid_t>& globals = st.map_.globals_of(s);
-    slice.Reserve(globals.size());
-    for (rid_t g : globals) slice.AppendRowFrom(*base, g);
+    slice.Resize(globals.size());
+    slice.GatherRows(*base, globals.data(), globals.size(), 0);
     st.shards_.push_back(std::move(slice));
   }
   *out = std::move(st);

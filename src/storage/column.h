@@ -1,5 +1,8 @@
-// Typed in-memory columns. Storage is columnar; execution is row-at-a-time
-// over rids that index directly into these arrays (paper Section 3.1).
+// Typed in-memory columns. Storage is columnar and rids index directly into
+// these arrays (paper Section 3.1). Operators filter or probe first, which
+// yields rid lists (for a selection, its backward lineage), then materialize
+// their output column-at-a-time with Gather: one typed loop per column into
+// an output range sized once up front.
 #ifndef SMOKE_STORAGE_COLUMN_H_
 #define SMOKE_STORAGE_COLUMN_H_
 
@@ -79,7 +82,7 @@ class Column {
     }
   }
 
-  /// Appends all of `src`'s values (bulk chunk merge; vector range insert,
+  /// Appends all of `src`'s values (bulk table append; vector range insert,
   /// not per-row copies). Strings are moved out of `src`.
   void AppendAll(Column&& src) {
     SMOKE_DCHECK(type_ == src.type_);
@@ -95,6 +98,29 @@ class Column {
         strings_.insert(strings_.end(),
                         std::make_move_iterator(src.strings_.begin()),
                         std::make_move_iterator(src.strings_.end()));
+        break;
+    }
+  }
+
+  /// Column-at-a-time gather: writes row rids[i] of `src` to row
+  /// dst_begin + i for i in [0, count). Rows [dst_begin, dst_begin + count)
+  /// must already exist (Resize), so morsels filling disjoint ranges of one
+  /// column may run concurrently.
+  void Gather(const Column& src, const rid_t* rids, size_t count,
+              size_t dst_begin) {
+    SMOKE_DCHECK(type_ == src.type_);
+    SMOKE_DCHECK(dst_begin + count <= size());
+    switch (type_) {
+      case DataType::kInt64:
+        GatherTyped(src.ints_.data(), rids, count, ints_.data() + dst_begin);
+        break;
+      case DataType::kFloat64:
+        GatherTyped(src.doubles_.data(), rids, count,
+                    doubles_.data() + dst_begin);
+        break;
+      case DataType::kString:
+        GatherTyped(src.strings_.data(), rids, count,
+                    strings_.data() + dst_begin);
         break;
     }
   }
@@ -116,6 +142,16 @@ class Column {
     }
   }
 
+  /// Sets the row count to `n`; new rows hold 0 / "" until a Gather fills
+  /// them.
+  void Resize(size_t n) {
+    switch (type_) {
+      case DataType::kInt64:   ints_.resize(n); break;
+      case DataType::kFloat64: doubles_.resize(n); break;
+      case DataType::kString:  strings_.resize(n); break;
+    }
+  }
+
   size_t MemoryBytes() const {
     switch (type_) {
       case DataType::kInt64:   return ints_.capacity() * sizeof(int64_t);
@@ -130,6 +166,12 @@ class Column {
   }
 
  private:
+  template <typename T>
+  static void GatherTyped(const T* src, const rid_t* rids, size_t count,
+                          T* dst) {
+    for (size_t i = 0; i < count; ++i) dst[i] = src[rids[i]];
+  }
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;

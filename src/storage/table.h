@@ -65,11 +65,23 @@ class Table {
     }
   }
 
-  /// Appends all rows of `src` (same schema; morsel output-chunk merging).
+  /// Appends all rows of `src` (same schema), moving its payloads.
   void AppendAllRows(Table&& src) {
     SMOKE_DCHECK(src.num_columns() == columns_.size());
     for (size_t c = 0; c < columns_.size(); ++c) {
       columns_[c].AppendAll(std::move(src.columns_[c]));
+    }
+  }
+
+  /// Gathers rows rids[0..count) of `src` into rows [dst_row, dst_row +
+  /// count) of this table's columns [dst_col, dst_col + src.num_columns()),
+  /// one column at a time (Column::Gather). The rows must already exist
+  /// (Resize); disjoint row ranges may be gathered concurrently.
+  void GatherRows(const Table& src, const rid_t* rids, size_t count,
+                  size_t dst_row, size_t dst_col = 0) {
+    SMOKE_DCHECK(dst_col + src.num_columns() <= columns_.size());
+    for (size_t c = 0; c < src.num_columns(); ++c) {
+      columns_[dst_col + c].Gather(src.column(c), rids, count, dst_row);
     }
   }
 
@@ -79,6 +91,11 @@ class Table {
 
   void Reserve(size_t n) {
     for (auto& c : columns_) c.Reserve(n);
+  }
+
+  /// Sets every column's row count to `n` (the gather target size).
+  void Resize(size_t n) {
+    for (auto& c : columns_) c.Resize(n);
   }
 
   size_t MemoryBytes() const {

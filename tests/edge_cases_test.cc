@@ -254,6 +254,23 @@ TEST_F(MalformedQueryTest, GroupByColumnOutOfRange) {
   ExpectNothingRetained();
 }
 
+TEST_F(MalformedQueryTest, GroupByColumnOutOfRangeWithoutOptimizer) {
+  // The unoptimized executor path validates node schemas too, so the fused
+  // kernel never sees the bad column reference.
+  q_.group_by = {ColRef::Fact(99)};
+  PlanBuilder b;
+  LogicalPlan plan;
+  ASSERT_TRUE(b.Build(b.SpjaBlock(q_), &plan).ok());
+  CaptureOptions opts = CaptureOptions::Inject();
+  opts.optimize = false;
+  PlanResult pr;
+  EXPECT_EQ(ExecutePlan(plan, opts, &pr).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(eng_.ExecutePlan("v", plan, opts).code(),
+            Status::Code::kInvalidArgument);
+  ExpectNothingRetained();
+}
+
 TEST_F(MalformedQueryTest, WorkloadPushdownUnderDefer) {
   Workload w;
   w.pushdown.skip_cols = {zipf_table::kZ};

@@ -1,7 +1,9 @@
 // Determinism tests for morsel-driven parallel capture: composed
 // backward/forward lineage and query results must be IDENTICAL (element by
 // element, including duplicate and ordering behavior) for num_threads ∈
-// {1, 2, 7} across select, group-by, join, and rollup plans. 7 is
+// {1, 2, 7} across select, group-by, join, and rollup plans, and gathered
+// select/join outputs must hold exactly the input rows their lineage
+// names. 7 is
 // deliberately odd and coprime with the morsel size to exercise
 // remainder-morsel paths. Also covers the morsel-view Operator contract,
 // the MorselScheduler itself, and plan-level deferred finalization.
@@ -40,6 +42,27 @@ Table MakeEvents(size_t n, int64_t num_keys) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     int64_t k = static_cast<int64_t>(x % static_cast<uint64_t>(num_keys));
     t.AppendRow({k, std::string(k % 3 == 0 ? "fizz" : "buzz"),
+                 static_cast<int64_t>((x >> 32) % 1000)});
+  }
+  return t;
+}
+
+/// wide(k, label, price, v): a float64 column and strings longer than the
+/// 15-byte short-string buffer, so a gather that copies the wrong row or
+/// mishandles a heap-allocated string or a double shows in the output.
+Table MakeWideEvents(size_t n, int64_t num_keys) {
+  Schema s;
+  s.AddField("k", DataType::kInt64);
+  s.AddField("label", DataType::kString);
+  s.AddField("price", DataType::kFloat64);
+  s.AddField("v", DataType::kInt64);
+  Table t(s);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (size_t i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    int64_t k = static_cast<int64_t>(x % static_cast<uint64_t>(num_keys));
+    t.AppendRow({k, "a-label-longer-than-sso-" + std::to_string(i),
+                 static_cast<double>(x >> 11) / 9007199254740992.0 * 1000.0,
                  static_cast<int64_t>((x >> 32) % 1000)});
   }
   return t;
@@ -119,18 +142,67 @@ Table MakeDim(int64_t num_keys) {
   return ::testing::AssertionSuccess();
 }
 
-/// Exact table equality including row order.
+/// Exact table equality, column by column: same schema (names and types)
+/// and the same payload, row order included.
 ::testing::AssertionResult SameTable(const Table& a, const Table& b) {
-  if (a.num_rows() != b.num_rows()) {
+  if (a.num_columns() != b.num_columns()) {
     return ::testing::AssertionFailure()
-           << "rows " << a.num_rows() << " vs " << b.num_rows();
+           << "columns " << a.num_columns() << " vs " << b.num_columns();
   }
-  for (rid_t r = 0; r < a.num_rows(); ++r) {
-    if (testing::RowKey(a, r) != testing::RowKey(b, r)) {
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const Field& fa = a.schema().field(c);
+    const Field& fb = b.schema().field(c);
+    if (fa.name != fb.name || fa.type != fb.type) {
       return ::testing::AssertionFailure()
-             << "row " << r << ": " << testing::RowKey(a, r) << " vs "
-             << testing::RowKey(b, r);
+             << "column " << c << ": " << fa.name << " vs " << fb.name;
     }
+    const Column& ca = a.column(c);
+    const Column& cb = b.column(c);
+    bool same = false;
+    switch (ca.type()) {
+      case DataType::kInt64:   same = ca.ints() == cb.ints(); break;
+      case DataType::kFloat64: same = ca.doubles() == cb.doubles(); break;
+      case DataType::kString:  same = ca.strings() == cb.strings(); break;
+    }
+    if (!same) {
+      return ::testing::AssertionFailure() << "column " << fa.name
+                                           << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Gather oracle for a select or join directly over scans: output row o
+/// holds, for each lineage input in order, that input's columns at the rid
+/// its 1:1 backward array names (output columns follow the inputs'
+/// columns in that order).
+::testing::AssertionResult RowsMatchLineage(const PlanResult& res) {
+  size_t col = 0;
+  for (size_t i = 0; i < res.lineage.num_inputs(); ++i) {
+    const TableLineage& tl = res.lineage.input(i);
+    if (tl.backward.kind() != LineageIndex::Kind::kArray) {
+      return ::testing::AssertionFailure()
+             << "input " << i << " has no backward rid array";
+    }
+    const RidArray& bw = tl.backward.array();
+    if (bw.size() != res.output.num_rows()) {
+      return ::testing::AssertionFailure()
+             << "backward size " << bw.size() << " vs "
+             << res.output.num_rows() << " rows";
+    }
+    for (size_t c = 0; c < tl.table->num_columns(); ++c, ++col) {
+      for (rid_t o = 0; o < bw.size(); ++o) {
+        if (res.output.GetValue(o, col) != tl.table->GetValue(bw[o], c)) {
+          return ::testing::AssertionFailure()
+                 << "output row " << o << " column " << col
+                 << " is not input " << i << " row " << bw[o];
+        }
+      }
+    }
+  }
+  if (col != res.output.num_columns()) {
+    return ::testing::AssertionFailure()
+           << col << " input columns vs " << res.output.num_columns();
   }
   return ::testing::AssertionSuccess();
 }
@@ -327,6 +399,93 @@ TEST(ParallelCaptureTest, JoinIdenticalAcrossThreads) {
     LogicalPlan plan;
     ASSERT_TRUE(b.Build(j, &plan).ok());
     ExpectIdenticalAcrossThreads(plan, CaptureMode::kInject);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Filter-then-gather: every thread count and mode gathers the same rows,
+// and those rows are the ones the lineage names
+// ---------------------------------------------------------------------------
+
+/// Runs `plan` across thread counts in every parallel mode (kNone,
+/// kInject, kDefer), checks the single-threaded Smoke-I output row by row
+/// against its lineage, and checks that the kNone and kDefer outputs equal
+/// it. Returns the output row count through `rows`.
+void ExpectGatheredRows(const LogicalPlan& plan, size_t* rows) {
+  CaptureOptions inject = CaptureOptions::Inject();
+  inject.morsel_rows = kMorselRows;
+  PlanResult ref;
+  ASSERT_TRUE(ExecutePlan(plan, inject, &ref).ok());
+  EXPECT_TRUE(RowsMatchLineage(ref));
+  *rows = ref.output.num_rows();
+  for (CaptureMode mode :
+       {CaptureMode::kNone, CaptureMode::kInject, CaptureMode::kDefer}) {
+    ExpectIdenticalAcrossThreads(plan, mode);
+    CaptureOptions opts = CaptureOptions::Mode(mode);
+    opts.morsel_rows = kMorselRows;
+    PlanResult got;
+    ASSERT_TRUE(ExecutePlan(plan, opts, &got).ok());
+    EXPECT_TRUE(SameTable(ref.output, got.output))
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(ParallelGatherTest, SelectSomeAllAndNoRows) {
+  Table wide = MakeWideEvents(3000, 40);
+  struct Case {
+    std::vector<Predicate> preds;
+    size_t expect_rows;  // 0 or all; kSome checks only that it is partial
+  };
+  constexpr size_t kSome = 1;
+  const Case cases[] = {
+      {{Predicate::Int(0, CmpOp::kLt, 11), Predicate::Double(2, CmpOp::kGe, 100)},
+       kSome},
+      {{Predicate::Int(3, CmpOp::kGe, 0)}, wide.num_rows()},
+      {{Predicate::Int(3, CmpOp::kLt, 0)}, 0},
+  };
+  for (const Case& c : cases) {
+    PlanBuilder b;
+    int scan = b.Scan(&wide, "wide");
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.Select(scan, c.preds), &plan).ok());
+    size_t rows = 0;
+    ExpectGatheredRows(plan, &rows);
+    if (c.expect_rows == kSome) {
+      EXPECT_GT(rows, 0u);
+      EXPECT_LT(rows, wide.num_rows());
+    } else {
+      EXPECT_EQ(rows, c.expect_rows);
+    }
+  }
+}
+
+TEST(ParallelGatherTest, JoinsWithCollidingColumnNames) {
+  // Both sides share every column name, so the right side's columns are
+  // renamed ("right_k", ...) and gathered at an offset.
+  Table fact = MakeWideEvents(4000, 50);
+  Table dim = MakeWideEvents(50, 1);
+  std::vector<int64_t>& dim_keys = dim.mutable_column(0).mutable_ints();
+  for (size_t k = 0; k < dim_keys.size(); ++k) {
+    dim_keys[k] = static_cast<int64_t>(k);  // unique: a pk build side
+  }
+  Table other = MakeWideEvents(300, 50);
+  struct Case {
+    const Table* left;
+    bool pk;
+  };
+  for (const Case& c : {Case{&dim, true}, Case{&other, false}}) {
+    PlanBuilder b;
+    int l = b.Scan(c.left, "left");
+    int r = b.Scan(&fact, "right");
+    JoinSpec spec;
+    spec.left_key = 0;
+    spec.right_key = 0;
+    spec.pk_build = c.pk;
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.HashJoin(l, r, spec), &plan).ok());
+    size_t rows = 0;
+    ExpectGatheredRows(plan, &rows);
+    EXPECT_GT(rows, 0u);
   }
 }
 
