@@ -1,17 +1,16 @@
 // Figure 10: lineage consuming query latency (TPC-H Q1b: Q1a plus two
 // parameterized text predicates) vs query selectivity, for Lazy (full table
 // scan), No Data Skipping (secondary index scan over the backward index)
-// and Data Skipping (scan only the matching rid partition). Expected shape:
-// skipping is below the 150ms interactive threshold everywhere and at least
-// ~2x better than Lazy even at high selectivity; plain indexes win at low
-// selectivity but are bottlenecked by secondary scan costs for large
-// groups. Also reports the capture cost of partitioning (paper: 0.22x
-// without vs 1.65x with skipping on Q1).
+// and Data Skipping (scan only the matching rid partition) — the kLazy,
+// kIndexed and kSkipping strategies of one TraceBuilder consuming query.
+// Expected shape: skipping is below the 150ms interactive threshold
+// everywhere and at least ~2x better than Lazy even at high selectivity;
+// plain indexes win at low selectivity but are bottlenecked by secondary
+// scan costs for large groups. Also reports the capture cost of
+// partitioning (paper: 0.22x without vs 1.65x with skipping on Q1).
 #include "harness.h"
 
 #include "engine/spja.h"
-#include "query/consuming.h"
-#include "query/lazy.h"
 #include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
@@ -53,6 +52,8 @@ void Run(const bench::Options& opts) {
                  std::to_string(skip_base.lineage.MemoryBytes() +
                                 skip_base.skip_index.MemoryBytes()));
   const size_t total_rows = db.lineitem.num_rows();
+  TraceSource src = TraceSource::FromSpja(q1, base, "q1");
+  TraceSource skip_src = TraceSource::FromSpja(q1, skip_base, "q1skip");
 
   // Every (shipmode, shipinstruct) combination x every Q1 output group.
   // CI quick mode samples one combination and two groups.
@@ -65,8 +66,6 @@ void Run(const bench::Options& opts) {
   for (const std::string& mode : modes) {
     for (const std::string& instr : instrs) {
       ConsumingSpec q1b = tpch::MakeQ1b(db, mode, instr);
-      uint32_t code =
-          skip_base.skip_dict.CodeForString(mode + std::string("\x1f") + instr);
       const size_t num_groups =
           opts.smoke ? std::min<size_t>(2, base.output.num_rows())
                      : base.output.num_rows();
@@ -76,67 +75,36 @@ void Run(const bench::Options& opts) {
         double selectivity = static_cast<double>(rids.size()) /
                              static_cast<double>(total_rows) /
                              (7.0 * 4.0);  // one of 28 partitions
-
-        auto lazy_preds = LazyBackwardPredicates(q1, base.output, oid);
-        RunStats lazy = bench::Measure(opts, [&] {
-          ConsumingLazy(db.lineitem, lazy_preds, q1b,
-                        /*capture_lineage=*/false);
-        });
-        RunStats indexed = bench::Measure(opts, [&] {
-          ConsumingOverRids(db.lineitem, q1b, rids,
-                            /*capture_lineage=*/false);
-        });
-        RunStats skipping = bench::Measure(opts, [&] {
-          ConsumingSkipping(db.lineitem, skip_base.skip_index, oid, code,
-                            q1b, /*capture_lineage=*/false);
-        });
-        // The unified consumption path: the same consuming query compiled
-        // to a Trace → Select → Derive → GroupBy plan (query/trace_builder)
-        // under the indexed and skipping physical choices. Regressions of
-        // the plan-compiled path show up next to the legacy kernels.
-        TraceSource src = TraceSource::FromSpja(q1, base, "q1");
-        TraceSource skip_src = TraceSource::FromSpja(q1, skip_base, "q1skip");
-        bench::Row("fig10",
-                   "mode=" + mode + ",instr=" + instr + ",group=" +
-                       std::to_string(oid) + ",selectivity=" +
-                       bench::F(selectivity) + ",lazy_ms=" +
-                       bench::F(lazy.mean_ms) + ",no_skip_ms=" +
-                       bench::F(indexed.mean_ms) + ",skip_ms=" +
-                       bench::F(skipping.mean_ms));
         // One row per rewriter setting: regressions of the optimized
         // plan-compiled path show up as optimizer=on drifting off the
         // optimizer=off series.
         for (bool optimize : {true, false}) {
-          LineageQuery plan_indexed;
-          SMOKE_CHECK(TraceBuilder::Backward(src, "lineitem", {oid})
-                          .Consuming(q1b)
-                          .Strategy(TraceStrategy::kIndexed)
-                          .Optimize(optimize)
-                          .Compile(&plan_indexed)
-                          .ok());
-          RunStats plan_ix = bench::Measure(opts, [&] {
-            PlanResult pr;
-            SMOKE_CHECK(
-                plan_indexed.Execute(CaptureOptions::None(), &pr).ok());
-          });
-          LineageQuery plan_skipping;
-          SMOKE_CHECK(TraceBuilder::Backward(skip_src, "lineitem", {oid})
-                          .Consuming(q1b)
-                          .Strategy(TraceStrategy::kSkipping)
-                          .Optimize(optimize)
-                          .Compile(&plan_skipping)
-                          .ok());
-          RunStats plan_sk = bench::Measure(opts, [&] {
-            PlanResult pr;
-            SMOKE_CHECK(
-                plan_skipping.Execute(CaptureOptions::None(), &pr).ok());
-          });
+          auto time_ms = [&](const TraceSource& s, TraceStrategy strategy) {
+            LineageQuery q;
+            SMOKE_CHECK(TraceBuilder::Backward(s, "lineitem", {oid})
+                            .Consuming(q1b)
+                            .Strategy(strategy)
+                            .Optimize(optimize)
+                            .Compile(&q)
+                            .ok());
+            return bench::Measure(opts, [&] {
+                     PlanResult pr;
+                     SMOKE_CHECK(q.Execute(CaptureOptions::None(), &pr).ok());
+                   })
+                .mean_ms;
+          };
+          const double lazy_ms = time_ms(src, TraceStrategy::kLazy);
+          const double indexed_ms = time_ms(src, TraceStrategy::kIndexed);
+          const double skipping_ms =
+              time_ms(skip_src, TraceStrategy::kSkipping);
           bench::Row("fig10",
                      "mode=" + mode + ",instr=" + instr + ",group=" +
-                         std::to_string(oid) + ",optimizer=" +
-                         (optimize ? "on" : "off") + ",plan_indexed_ms=" +
-                         bench::F(plan_ix.mean_ms) + ",plan_skip_ms=" +
-                         bench::F(plan_sk.mean_ms));
+                         std::to_string(oid) + ",selectivity=" +
+                         bench::F(selectivity) + ",optimizer=" +
+                         (optimize ? "on" : "off") + ",lazy_ms=" +
+                         bench::F(lazy_ms) + ",plan_indexed_ms=" +
+                         bench::F(indexed_ms) + ",plan_skip_ms=" +
+                         bench::F(skipping_ms));
         }
       }
     }

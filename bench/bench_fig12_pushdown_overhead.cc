@@ -2,18 +2,21 @@
 // pass per Q1 output group, without vs with aggregation push-down. Paper:
 // average overhead rises from ~2.9% to ~9.15% with push-down — the price of
 // partitioning the rid arrays on l_tax and maintaining the sub-aggregates.
+// The Q1b pass is one compiled TraceBuilder consuming query, run with
+// capture off (CaptureOptions::None) and on (Inject).
 #include "harness.h"
 
 #include "capture/cube_index.h"
 #include "engine/spja.h"
-#include "query/consuming.h"
+#include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
 namespace smoke {
 namespace {
 
 void Run(const bench::Options& opts) {
-  const double sf = opts.scale > 0 ? opts.scale : (opts.full ? 1.0 : 0.1);
+  const double sf =
+      opts.scale > 0 ? opts.scale : (opts.smoke ? 0.01 : (opts.full ? 1.0 : 0.1));
   bench::Banner("Figure 12",
                 "Capture overhead of the Q1b pass without/with aggregation "
                 "push-down, per Q1 output group");
@@ -24,27 +27,38 @@ void Run(const bench::Options& opts) {
   ConsumingSpec q1b = tpch::MakeQ1b(db, "MAIL", "NONE");
 
   for (rid_t oid = 0; oid < base.output.num_rows(); ++oid) {
-    const RidVec& rids = base.lineage.input(0).backward.index().list(oid);
+    LineageQuery q;
+    SMOKE_CHECK(TraceBuilder::Backward(TraceSource::FromSpja(q1, base, "q1"),
+                                       "lineitem", {oid})
+                    .Consuming(q1b)
+                    .Strategy(TraceStrategy::kIndexed)
+                    .Compile(&q)
+                    .ok());
 
     // Non-instrumented: evaluate Q1b without capturing lineage.
     RunStats plain = bench::Measure(opts, [&] {
-      ConsumingOverRids(db.lineitem, q1b, rids, /*capture_lineage=*/false);
+      PlanResult pr;
+      SMOKE_CHECK(q.Execute(CaptureOptions::None(), &pr).ok());
     });
     // Instrumented (no push-down): capture the consuming query's backward
     // lineage.
     RunStats captured = bench::Measure(opts, [&] {
-      ConsumingOverRids(db.lineitem, q1b, rids, /*capture_lineage=*/true);
+      PlanResult pr;
+      SMOKE_CHECK(q.Execute(CaptureOptions::Inject(), &pr).ok());
     });
     // Instrumented + push-down: additionally maintain the l_tax cube.
     RunStats pushdown = bench::Measure(opts, [&] {
-      auto res = ConsumingOverRids(db.lineitem, q1b, rids, true);
+      PlanResult pr;
+      SMOKE_CHECK(q.Execute(CaptureOptions::Inject(), &pr).ok());
+      const LineageIndex& bw = pr.lineage.input(0).backward;
       CubeIndex cube;
       cube.Init(db.lineitem, {tpch::kLTax}, q1b.aggs);
-      for (size_t ob = 0; ob < res.output.num_rows(); ++ob) {
+      std::vector<rid_t> rids;
+      for (size_t ob = 0; ob < pr.output.num_rows(); ++ob) {
         cube.AddGroup();
-        for (rid_t r : res.backward.list(ob)) {
-          cube.Update(static_cast<uint32_t>(ob), r);
-        }
+        rids.clear();
+        bw.TraceInto(static_cast<rid_t>(ob), &rids);
+        for (rid_t r : rids) cube.Update(static_cast<uint32_t>(ob), r);
       }
     });
 

@@ -3,17 +3,18 @@
 // view. Expected shape: BT+FT completes the whole benchmark fastest and
 // before the data cube finishes building; BT beats Lazy; the cube's
 // interactions are near-instantaneous but its offline build dominates
-// (the cold-start problem).
+// (the cold-start problem). The strategies are built from TraceBuilder and
+// the linked-brush kernels (crossfilter_strategies.h).
 #include "harness.h"
 
-#include "apps/crossfilter.h"
+#include "crossfilter_strategies.h"
 #include "workloads/ontime.h"
 
 namespace smoke {
 namespace {
 
 void Run(const bench::Options& opts) {
-  const size_t rows = opts.full ? 20000000 : 2000000;
+  const size_t rows = opts.full ? 20000000 : (opts.smoke ? 50000 : 2000000);
   bench::Banner("Figure 13",
                 "Crossfilter cumulative latency (Ontime-like; 4 views; "
                 "brush every bar)");
@@ -24,33 +25,37 @@ void Run(const bench::Options& opts) {
 
   struct Strategy {
     const char* name;
-    Crossfilter::Strategy strategy;
+    bench::CfStrategy strategy;
     size_t brush_sample;  // brush every k-th bar (1 = all); Lazy is too
                           // slow to brush all ~8100 bars at full scale.
   };
   const Strategy strategies[] = {
-      {"Lazy", Crossfilter::Strategy::kLazy, 100},
-      {"BT", Crossfilter::Strategy::kBT, 10},
-      {"BT+FT", Crossfilter::Strategy::kBTFT, 1},
-      {"DataCube", Crossfilter::Strategy::kCube, 1},
+      {"Lazy", bench::CfStrategy::kLazy, 100},
+      {"BT", bench::CfStrategy::kBT, 10},
+      {"BT+FT", bench::CfStrategy::kBTFT, 1},
+      {"DataCube", bench::CfStrategy::kCube, 1},
   };
 
   for (const Strategy& s : strategies) {
-    Crossfilter cf(data, dims);
+    bench::CrossfilterSession cf(data, "ontime", dims, s.strategy);
     WallTimer init_timer;
-    cf.Initialize(s.strategy);
+    cf.Initialize();
     double init_ms = init_timer.ElapsedMs();
 
     size_t total_bars = 0, brushed = 0;
+    int64_t wrong = 0;  // brushes whose recomputed counts miss rows
     WallTimer brush_timer;
     for (size_t v = 0; v < cf.num_views(); ++v) {
       total_bars += cf.NumBars(v);
-      for (size_t bar = 0; bar < cf.NumBars(v); bar += s.brush_sample) {
-        cf.Brush(v, bar);
+      for (rid_t bar = 0; bar < cf.NumBars(v); bar += s.brush_sample) {
+        const int64_t want =
+            cf.BarCount(v, bar) * static_cast<int64_t>(cf.num_views() - 1);
+        wrong += cf.Brush(v, bar) != want;
         ++brushed;
       }
     }
     double brush_ms = brush_timer.ElapsedMs();
+    SMOKE_CHECK(wrong == 0 && "a brush lost or gained rows");
     // Extrapolate sampled strategies to the full interaction count.
     double est_total_brush =
         brush_ms * static_cast<double>(total_bars) /

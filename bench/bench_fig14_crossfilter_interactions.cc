@@ -8,7 +8,7 @@
 
 #include <algorithm>
 
-#include "apps/crossfilter.h"
+#include "crossfilter_strategies.h"
 #include "workloads/ontime.h"
 
 namespace smoke {
@@ -17,7 +17,7 @@ namespace {
 const char* kViewNames[] = {"LatLon", "Date", "DepDelay", "Carrier"};
 
 void Run(const bench::Options& opts) {
-  const size_t rows = opts.full ? 20000000 : 2000000;
+  const size_t rows = opts.full ? 20000000 : (opts.smoke ? 50000 : 2000000);
   bench::Banner("Figure 14",
                 "Per-interaction crossfilter latency by view (150ms line)");
   std::printf("rows=%zu (paper: 123.5M)\n", rows);
@@ -27,25 +27,28 @@ void Run(const bench::Options& opts) {
 
   struct Strategy {
     const char* name;
-    Crossfilter::Strategy strategy;
+    bench::CfStrategy strategy;
     size_t sample;
   };
   const Strategy strategies[] = {
-      {"Lazy", Crossfilter::Strategy::kLazy, 200},
-      {"BT", Crossfilter::Strategy::kBT, 20},
-      {"BT+FT", Crossfilter::Strategy::kBTFT, 1},
+      {"Lazy", bench::CfStrategy::kLazy, 200},
+      {"BT", bench::CfStrategy::kBT, 20},
+      {"BT+FT", bench::CfStrategy::kBTFT, 1},
   };
 
   for (const Strategy& s : strategies) {
-    Crossfilter cf(data, dims);
-    cf.Initialize(s.strategy);
+    bench::CrossfilterSession cf(data, "ontime", dims, s.strategy);
+    cf.Initialize();
     for (size_t v = 0; v < cf.num_views(); ++v) {
       std::vector<double> lat;
       size_t over_150 = 0;
-      for (size_t bar = 0; bar < cf.NumBars(v); bar += s.sample) {
+      for (rid_t bar = 0; bar < cf.NumBars(v); bar += s.sample) {
         WallTimer t;
-        cf.Brush(v, bar);
+        const int64_t got = cf.Brush(v, bar);
         double ms = t.ElapsedMs();
+        SMOKE_CHECK(got == cf.BarCount(v, bar) *
+                               static_cast<int64_t>(cf.num_views() - 1) &&
+                    "a brush lost or gained rows");
         lat.push_back(ms);
         over_150 += ms > 150.0;
       }

@@ -7,10 +7,11 @@
 //   $ ./example_tpch_drilldown
 #include <cstdio>
 
+#include "common/macros.h"
 #include "common/timer.h"
 #include "engine/spja.h"
-#include "query/consuming.h"
 #include "query/lineage_query.h"
+#include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
 using namespace smoke;
@@ -20,33 +21,47 @@ int main() {
   tpch::Database db = tpch::Generate(0.05);
   SPJAQuery q1 = tpch::MakeQ1(db);
 
-  // Overview: Q1 with lineage capture + data-skipping partitioning on the
-  // attributes the filter widgets will use.
-  SPJAPushdown push;
-  push.skip_cols = {tpch::kLShipmode, tpch::kLShipinstruct};
+  // Overview: Q1 with lineage capture. A second capture partitions the
+  // backward lists on the attributes the filter widgets will use (data
+  // skipping); the partitioned index replaces the plain one, so zoom and
+  // details read the first capture and filters the second.
   WallTimer timer;
-  auto base = SPJAExec(q1, CaptureOptions::Inject(), &push);
+  auto base = SPJAExec(q1, CaptureOptions::Inject());
   std::printf("Q1 overview + capture: %.1f ms, %zu bars\n",
               timer.ElapsedMs(), base.output.num_rows());
   std::printf("%s\n", base.output.ToString().c_str());
+  SPJAPushdown push;
+  push.skip_cols = {tpch::kLShipmode, tpch::kLShipinstruct};
+  auto skip_base = SPJAExec(q1, CaptureOptions::Inject(), &push);
 
-  // Zoom: drill into bar 0 by (year, month).
-  ConsumingSpec q1a = tpch::MakeQ1a(db);
-  std::vector<rid_t> bar0;
-  base.skip_index.TraceAllInto(0, &bar0);
+  // Zoom: drill into bar 0 by (year, month) — a consuming query over the
+  // bar's backward lineage.
+  const RidVec& bar0 = base.lineage.input(0).backward.index().list(0);
   timer.Start();
-  auto drill = ConsumingOverRids(db.lineitem, q1a, bar0.data(), bar0.size(),
-                                 /*capture_lineage=*/false);
+  PlanResult drill;
+  SMOKE_CHECK(TraceBuilder::Backward(TraceSource::FromSpja(q1, base, "q1"),
+                                     "lineitem", {0})
+                  .Consuming(tpch::MakeQ1a(db))
+                  .Strategy(TraceStrategy::kIndexed)
+                  .Execute(CaptureOptions::None(), &drill)
+                  .ok());
   std::printf("Q1a drill-down (bar 0, %zu rows): %.1f ms, %zu (year, month) "
               "cells\n",
               bar0.size(), timer.ElapsedMs(), drill.output.num_rows());
 
-  // Filter: the user sets shipmode=MAIL, shipinstruct=NONE on a widget.
-  ConsumingSpec q1b = tpch::MakeQ1b(db, "MAIL", "NONE");
-  uint32_t code = base.skip_dict.CodeForString("MAIL\x1fNONE");
+  // Filter: the user sets shipmode=MAIL, shipinstruct=NONE on a widget;
+  // the skipping strategy scans only the matching rid partition.
+  LineageQuery q1b;
+  SMOKE_CHECK(TraceBuilder::Backward(
+                  TraceSource::FromSpja(q1, skip_base, "q1skip"), "lineitem",
+                  {0})
+                  .Consuming(tpch::MakeQ1b(db, "MAIL", "NONE"))
+                  .Strategy(TraceStrategy::kSkipping)
+                  .Compile(&q1b)
+                  .ok());
   timer.Start();
-  auto filtered = ConsumingSkipping(db.lineitem, base.skip_index, 0, code,
-                                    q1b, /*capture_lineage=*/false);
+  PlanResult filtered;
+  SMOKE_CHECK(q1b.Execute(CaptureOptions::None(), &filtered).ok());
   std::printf("Q1b with data skipping: %.2f ms, %zu cells (<150ms "
               "interactive)\n",
               timer.ElapsedMs(), filtered.output.num_rows());

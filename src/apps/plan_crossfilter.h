@@ -4,8 +4,8 @@
 // rollup, a join of aggregated subplans — and linked brushing is the
 // backward-then-forward lookup over each view's composed lineage on the
 // shared base relation. Any view shape with captured lineage on the shared
-// relation participates; the classic per-view SPJA implementation in
-// apps/crossfilter.h remains as the strategy benchmark (Figure 13/14).
+// relation participates. Figures 13/14 build their Lazy, BT, BT+FT and
+// DataCube strategies from these two steps and from TraceBuilder.
 //
 // A brush is two secondary-index steps, not a trace plan:
 //  1. BrushSeeds decodes the brushed row's backward list once and
@@ -52,7 +52,7 @@ Status BrushSeeds(const PlanResult& from, const std::string& from_name,
 /// its forward index on `relation`. rids lists the reached output rows in
 /// first-reach order; counts[i] is the number of forward edges from the
 /// seeds that hit rids[i] — for a group-by COUNT(*) view, the brushed bar
-/// count of the classic crossfilter (BT strategy); rows holds those output
+/// count (the rows of bar rids[i] among the seeds); rows holds those output
 /// rows of `to`. Costs O(|seeds| + linked rows) plus one pass over `to`'s
 /// output cardinality. Fails when `relation` is not in the view's lineage,
 /// the forward index was not captured or was evicted, or a seed lies

@@ -27,8 +27,9 @@ struct KeyBinder {
     int table;  // ColRef::kFact or dim index
   };
   std::vector<Part> parts;
-  bool int_fast = false;
+  bool int_fast = false;  // one int64 key, on the fact or a dimension
   const int64_t* fast_col = nullptr;
+  int fast_table = ColRef::kFact;
 
   void Bind(const SPJAQuery& q) {
     for (const ColRef& ref : q.group_by) {
@@ -37,9 +38,18 @@ struct KeyBinder {
                            : q.dims[static_cast<size_t>(ref.table)].table;
       parts.push_back({&t->column(static_cast<size_t>(ref.col)), ref.table});
     }
-    int_fast = parts.size() == 1 && parts[0].table == ColRef::kFact &&
-               parts[0].col->type() == DataType::kInt64;
-    if (int_fast) fast_col = parts[0].col->ints().data();
+    int_fast = parts.size() == 1 && parts[0].col->type() == DataType::kInt64;
+    if (int_fast) {
+      fast_col = parts[0].col->ints().data();
+      fast_table = parts[0].table;
+    }
+  }
+
+  /// The int_fast key of the current (fact rid, dim rids).
+  int64_t IntKey(rid_t fact_rid, const rid_t* dim_rids) const {
+    return fast_col[fast_table == ColRef::kFact
+                        ? fact_rid
+                        : dim_rids[static_cast<size_t>(fast_table)]];
   }
 
   /// Overwrites `*key` with the composite key (engine/key_encode.h bytes).
@@ -208,7 +218,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
   auto find_or_create = [&](rid_t r, const rid_t* dim_rids) -> uint32_t {
     uint32_t fresh = static_cast<uint32_t>(counts.size());
     if (keys.int_fast) {
-      uint32_t g = gmap.FindOrInsert(keys.fast_col[r], fresh);
+      uint32_t g = gmap.FindOrInsert(keys.IntKey(r, dim_rids), fresh);
       if (g == IntKeyMap::kNotFound) g = new_group(r, dim_rids);
       return g;
     }
@@ -220,7 +230,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
   };
 
   auto find_group = [&](rid_t r, const rid_t* dim_rids) -> uint32_t {
-    if (keys.int_fast) return gmap.Find(keys.fast_col[r]);
+    if (keys.int_fast) return gmap.Find(keys.IntKey(r, dim_rids));
     keys.StrKeyInto(r, dim_rids, &key_buf);
     auto it = smap.find(key_buf);
     return it == smap.end() ? IntKeyMap::kNotFound : it->second;

@@ -6,8 +6,8 @@
 //
 // The unified consumption API reuses these rewrites: TraceStrategy::kLazy
 // (query/trace_builder.h) compiles the same predicates into a Scan → Select
-// plan instead of a Trace node. The free functions here remain the
-// standalone baseline the benches time.
+// plan instead of a Trace node, and SmokeEngine falls back to them when a
+// query's lineage was evicted.
 #ifndef SMOKE_QUERY_LAZY_H_
 #define SMOKE_QUERY_LAZY_H_
 

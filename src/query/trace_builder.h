@@ -30,12 +30,22 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/aggregates.h"
+#include "engine/expr.h"
+#include "engine/group_expr.h"
 #include "optimizer/explain.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
-#include "query/consuming.h"
 
 namespace smoke {
+
+/// A lineage consuming query: extra filters, extra grouping, aggregates —
+/// all over the traced input relation.
+struct ConsumingSpec {
+  std::vector<Predicate> filters;
+  std::vector<GroupExpr> group_by;
+  std::vector<AggSpec> aggs;
+};
 
 /// \brief Store-level statistics about a trace source's retained lineage
 /// (LineageStoreStats, filled by SmokeEngine::MakeTraceSource from the
@@ -158,7 +168,7 @@ class TraceBuilder {
   TraceBuilder& Filter(Predicate p);
   TraceBuilder& GroupBy(GroupExpr g);
   TraceBuilder& Agg(AggSpec a);
-  /// Bulk form of Filter/GroupBy/Agg from the legacy mini-language.
+  /// Bulk form of Filter/GroupBy/Agg: appends every clause of `spec`.
   TraceBuilder& Consuming(const ConsumingSpec& spec);
 
   /// Requests a physical strategy (default kAuto). Non-indexed strategies

@@ -1,13 +1,11 @@
 // Edge cases and cross-module integration checks that don't fit the
 // per-module suites.
 #include <cmath>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/smoke_engine.h"
 #include "engine/group_by.h"
-#include "engine/nested_loop_join.h"
 #include "engine/select.h"
 #include "engine/set_ops.h"
 #include "query/provenance.h"
@@ -119,22 +117,6 @@ TEST(SpjaEdgeTest, LogicTupAnnotatedWidth) {
   EXPECT_EQ(res.annotated.num_columns(),
             res.output.num_columns() + db.lineitem.num_columns() +
                 db.orders.num_columns());
-}
-
-// ---- nested-loop joins over strings ----
-
-TEST(NljEdgeTest, StringThetaCondition) {
-  Schema s;
-  s.AddField("name", DataType::kString);
-  Table a(s), b(s);
-  for (const char* v : {"apple", "mango"}) a.AppendRow({std::string(v)});
-  for (const char* v : {"banana", "kiwi", "apple"}) b.AppendRow({std::string(v)});
-  NljSpec spec;
-  spec.conds = {{0, CmpOp::kLt, 0}};  // a.name < b.name lexicographically
-  auto res = NestedLoopJoinExec(a, "a", b, "b", spec,
-                                CaptureOptions::Inject());
-  // apple < banana, apple < kiwi; mango < nothing except none.
-  EXPECT_EQ(res.output_cardinality, 2u);
 }
 
 // ---- provenance over three inputs ----
@@ -333,29 +315,6 @@ TEST(TpchSpecsTest, Q1VariantsShape) {
   EXPECT_EQ(q1c.group_by.size(), 3u);
   EXPECT_EQ(tpch::ShipModes().size(), 7u);
   EXPECT_EQ(tpch::ShipInstructs().size(), 4u);
-}
-
-// ---- cross product lineage totals ----
-
-TEST(CrossEdgeTest, ForwardCoversAllOutputs) {
-  Table a = MakeZipfTable(5, 2, 0.0, 63);
-  Table b = MakeZipfTable(3, 2, 0.0, 64);
-  auto res = CrossProductExec(a, b, false);
-  std::set<rid_t> all;
-  std::vector<rid_t> buf;
-  for (rid_t r = 0; r < 5; ++r) {
-    buf.clear();
-    res.lineage.ForwardLeftInto(r, &buf);
-    all.insert(buf.begin(), buf.end());
-  }
-  EXPECT_EQ(all.size(), 15u);
-  all.clear();
-  for (rid_t r = 0; r < 3; ++r) {
-    buf.clear();
-    res.lineage.ForwardRightInto(r, &buf);
-    all.insert(buf.begin(), buf.end());
-  }
-  EXPECT_EQ(all.size(), 15u);
 }
 
 }  // namespace

@@ -212,8 +212,8 @@ class PlanGen {
         std::vector<int> ints = IntCols(s);
         if (ints.empty()) return s;
         int key = ints[rng_->Below(ints.size())];
-        GroupBySpec g1{{key}, {AggSpec::Count("c1")}};
-        GroupBySpec g2{{key}, {AggSpec::Sum(RandomAggExpr(s), "s2")}};
+        GroupBySpec g1{{key}, {AggSpec::Count("c1")}, {}};
+        GroupBySpec g2{{key}, {AggSpec::Sum(RandomAggExpr(s), "s2")}, {}};
         int a1 = b_.GroupBy(s.id, std::move(g1));
         int a2 = b_.GroupBy(s.id, std::move(g2));
         JoinSpec spec;

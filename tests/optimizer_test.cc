@@ -138,7 +138,8 @@ TEST(OptimizerRules, PushSelectThroughProject) {
   int scan = b.Scan(&sales, "sales");
   int proj = b.Project(scan, std::vector<int>{1, 0});  // amount, region_id
   int sel = b.Select(proj, {Predicate::Int(1, CmpOp::kEq, 0)});
-  int agg = b.GroupBy(sel, {{1}, {AggSpec::Sum(ScalarExpr::Col(0), "amt")}});
+  int agg =
+      b.GroupBy(sel, {{1}, {AggSpec::Sum(ScalarExpr::Col(0), "amt")}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -175,7 +176,7 @@ TEST(OptimizerRules, ElideEmptySelect) {
   Table sales = MakeSales();
   PlanBuilder b;
   int scan = b.Scan(&sales, "sales");
-  int agg = b.GroupBy(scan, {{0}, {AggSpec::Count("cnt")}});
+  int agg = b.GroupBy(scan, {{0}, {AggSpec::Count("cnt")}, {}});
   int sel = b.Select(agg, {});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(sel, &plan).ok());
@@ -191,7 +192,7 @@ TEST(OptimizerRules, MergeProjects) {
   int scan = b.Scan(&sales, "sales");
   int p1 = b.Project(scan, std::vector<int>{1, 0});
   int p2 = b.Project(p1, std::vector<int>{1});  // region_id only
-  int agg = b.GroupBy(p2, {{0}, {AggSpec::Count("cnt")}});
+  int agg = b.GroupBy(p2, {{0}, {AggSpec::Count("cnt")}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -205,7 +206,7 @@ TEST(OptimizerRules, PushSelectThroughDerive) {
   int scan = b.Scan(&sales, "sales");
   int der = b.Derive(scan, {GroupExpr::Raw(0, "rid_key")});
   int sel = b.Select(der, {Predicate::Int(0, CmpOp::kNe, 3)});
-  int agg = b.GroupBy(sel, {{2}, {AggSpec::Count("cnt")}});
+  int agg = b.GroupBy(sel, {{2}, {AggSpec::Count("cnt")}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -243,7 +244,7 @@ TEST(OptimizerRules, ConstantFolding) {
   ScalarExpr e = ScalarExpr::Mul(
       ScalarExpr::Col(1),
       ScalarExpr::Add(ScalarExpr::Const(2.0), ScalarExpr::Const(3.0)));
-  int agg = b.GroupBy(scan, {{0}, {AggSpec::Sum(std::move(e), "amt5")}});
+  int agg = b.GroupBy(scan, {{0}, {AggSpec::Sum(std::move(e), "amt5")}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -260,9 +261,10 @@ TEST(OptimizerRules, SharedIdentityProjectElidedInPlace) {
   PlanBuilder b;
   int scan = b.Scan(&sales, "sales");
   int proj = b.Project(scan, std::vector<int>{0, 1});  // identity, shared
-  int agg1 = b.GroupBy(proj, {{0}, {AggSpec::Count("cnt")}});
-  int agg2 = b.GroupBy(proj, {{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}});
-  int join = b.HashJoin(agg1, agg2, JoinSpec{0, 0});
+  int agg1 = b.GroupBy(proj, {{0}, {AggSpec::Count("cnt")}, {}});
+  int agg2 =
+      b.GroupBy(proj, {{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}, {}});
+  int join = b.HashJoin(agg1, agg2, JoinSpec{0, 0, {}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(join, &plan).ok());
 
@@ -277,7 +279,8 @@ TEST(OptimizerRules, ParallelExecutionStaysInvariant) {
   int scan = b.Scan(&sales, "sales");
   int proj = b.Project(scan, std::vector<int>{0, 1});
   int sel = b.Select(proj, {Predicate::Int(0, CmpOp::kLe, 2)});
-  int agg = b.GroupBy(sel, {{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}});
+  int agg =
+      b.GroupBy(sel, {{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}, {}});
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
   ExpectOptimizeInvariant(plan, /*num_threads=*/7);
@@ -322,7 +325,7 @@ TEST(OptimizerValidation, RejectsNonIntJoinKey) {
   PlanBuilder b;
   int a = b.Scan(&sales, "a");
   int c = b.Scan(&sales, "b");
-  int join = b.HashJoin(a, c, JoinSpec{1, 1});  // float keys
+  int join = b.HashJoin(a, c, JoinSpec{1, 1, {}, {}});  // float keys
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(join, &plan).ok());
   LogicalPlan out;
@@ -342,7 +345,7 @@ TEST(GroupByPushdown, SelectionFiltersBackwardLists) {
 
   PlanBuilder b;
   int scan = b.Scan(&sales, "sales");
-  int agg = b.GroupBy(scan, {{0}, {AggSpec::Count("cnt")}}, push);
+  int agg = b.GroupBy(scan, {{0}, {AggSpec::Count("cnt")}, {}}, push);
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -370,7 +373,7 @@ TEST(GroupByPushdown, SelectionFiltersBackwardLists) {
 
 TEST(GroupByPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
   Table sales = MakeSales();
-  GroupBySpec spec{{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}};
+  GroupBySpec spec{{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}, {}};
 
   // Reference: no push-down, plain indexed backward trace with a filter.
   PlanBuilder rb;
@@ -435,7 +438,7 @@ TEST(GroupByPushdown, RequiresScanChild) {
   PlanBuilder b;
   int scan = b.Scan(&sales, "sales");
   int sel = b.Select(scan, {Predicate::Int(0, CmpOp::kLe, 2)});
-  int agg = b.GroupBy(sel, {{0}, {AggSpec::Count("cnt")}}, push);
+  int agg = b.GroupBy(sel, {{0}, {AggSpec::Count("cnt")}, {}}, push);
   LogicalPlan plan;
   EXPECT_FALSE(b.Build(agg, &plan).ok());
 }

@@ -1,7 +1,8 @@
 // Linked brushing over retained plans: any view shape with lineage on the
 // shared relation participates (ROADMAP "Crossfilter on plans"), for plain
-// group-by views the witness counts equal the classic crossfilter's BT
-// strategy, and the seeds + link kernel is bit-identical to the
+// group-by views the witness counts equal a full-scan count (and so do the
+// Lazy, BT, BT+FT and DataCube strategies Figures 13/14 build from these
+// pieces), and the seeds + link kernel is bit-identical to the
 // Trace∘Trace plan it replaced — over raw and encoded indexes, and over
 // served snapshots grown by appends.
 #include "apps/plan_crossfilter.h"
@@ -13,13 +14,13 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/crossfilter.h"
 #include "lineage/store/lineage_store.h"
 #include "query/lineage_query.h"
 #include "query/trace_builder.h"
 #include "serve/serve_core.h"
 #include "serve/session.h"
 #include "test_util.h"
+#include "workloads/ontime.h"
 
 namespace smoke {
 namespace {
@@ -243,39 +244,127 @@ class PlanCrossfilterTest : public ::testing::Test {
   std::unique_ptr<PlanCrossfilter> session_;
 };
 
-TEST_F(PlanCrossfilterTest, GroupByViewsMatchClassicCrossfilterBT) {
-  // The classic per-view implementation with the BT strategy is the
-  // reference for simple histogram views.
-  Crossfilter classic(data_, {kA, kB});
-  classic.Initialize(Crossfilter::Strategy::kBT);
-
+TEST_F(PlanCrossfilterTest, GroupByViewBrushCountsMatchScan) {
+  // For histogram views the witness counts are the crossfilter answer: per
+  // linked bar of vb, the rows with the brushed a value and that b value,
+  // counted here by a full scan of the base relation.
   const Table* va = nullptr;
+  const Table* vb = nullptr;
   ASSERT_TRUE(session_->ViewOutput("va", &va).ok());
-  ASSERT_EQ(va->num_rows(), classic.NumBars(0));
-
-  for (size_t bar = 0; bar < classic.NumBars(0); ++bar) {
-    // Group-by plans emit bins in first-encounter order, like the classic
-    // session — row `bar` of the plan view is bar `bar` of the classic one.
-    ASSERT_EQ(va->column(0).ints()[bar], classic.BarValue(0, bar));
+  ASSERT_TRUE(session_->ViewOutput("vb", &vb).ok());
+  const auto& a = data_.column(kA).ints();
+  const auto& b = data_.column(kB).ints();
+  for (rid_t bar = 0; bar < va->num_rows(); ++bar) {
+    const int64_t a_val = va->column(0).ints()[bar];
+    std::map<int64_t, int64_t> want;  // b value -> rows with a == a_val
+    for (size_t r = 0; r < data_.num_rows(); ++r) {
+      if (a[r] == a_val) ++want[b[r]];
+    }
 
     std::map<std::string, PlanCrossfilter::Linked> brush;
-    ASSERT_TRUE(session_->Brush("va", static_cast<rid_t>(bar), &brush).ok());
-    auto classic_counts = classic.Brush(0, bar);
-
+    ASSERT_TRUE(session_->Brush("va", bar, &brush).ok());
     const auto& linked = brush.at("vb");
     ASSERT_EQ(linked.rids.size(), linked.counts.size());
-    int64_t total = 0;
+    std::map<int64_t, int64_t> got;
     for (size_t i = 0; i < linked.rids.size(); ++i) {
-      EXPECT_EQ(linked.counts[i], classic_counts[1][linked.rids[i]])
-          << "bar " << bar << " linked row " << i;
-      total += linked.counts[i];
+      got[vb->column(0).ints()[linked.rids[i]]] = linked.counts[i];
     }
-    // Every nonzero classic bar is linked, so totals agree with the brushed
-    // bar's cardinality.
-    EXPECT_EQ(total, classic.BarCount(0, bar));
-    int64_t classic_total = 0;
-    for (int64_t c : classic_counts[1]) classic_total += c;
-    EXPECT_EQ(total, classic_total);
+    EXPECT_EQ(got, want) << "bar " << bar;
+  }
+}
+
+TEST(CrossfilterStrategiesTest, EveryStrategyMatchesScan) {
+  // Figures 13/14 build the paper's four crossfilter strategies from these
+  // pieces over SpjaBlock views (GROUP BY dim, COUNT(*)). Brushing a bar
+  // recomputes another view; every strategy must give the counts a full
+  // scan gives.
+  const Table data = ontime::Generate(20000, 5);
+  const std::vector<int> dims = {ontime::kLatLonBin, ontime::kDelayBin,
+                                 ontime::kCarrier};
+  struct View {
+    SPJAQuery query;
+    PlanResult result;
+  };
+  auto run = [&](const SPJAQuery& q, SPJAPushdown push,
+                 const CaptureOptions& opts, PlanResult* out) {
+    PlanBuilder b;
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.SpjaBlock(q, std::move(push)), &plan).ok());
+    ASSERT_TRUE(ExecutePlan(plan, opts, out).ok());
+  };
+  std::vector<std::unique_ptr<View>> views;
+  for (int dim : dims) {
+    auto view = std::make_unique<View>();
+    view->query.fact = &data;
+    view->query.fact_name = "ontime";
+    view->query.group_by = {ColRef::Fact(dim)};
+    view->query.aggs = {AggSpec::Count("cnt")};
+    run(view->query, SPJAPushdown{}, CaptureOptions::Inject(), &view->result);
+    views.push_back(std::move(view));
+  }
+
+  // One view's recomputed counts from a consuming-query output
+  // (bin, cnt) rows.
+  auto as_map = [](const Table& t) {
+    std::map<int64_t, int64_t> m;
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      m[t.column(0).ints()[i]] = t.column(1).ints()[i];
+    }
+    return m;
+  };
+  for (size_t v = 0; v < views.size(); ++v) {
+    const Table& bars = views[v]->result.output;
+    const size_t step = std::max<size_t>(1, bars.num_rows() / 5);
+    for (size_t w = 0; w < views.size(); ++w) {
+      if (w == v) continue;
+      SPJAPushdown push;
+      push.cube_cols = {dims[w]};
+      push.cube_aggs = {AggSpec::Count("cnt")};
+      PlanResult cube;
+      run(views[v]->query, push, CaptureOptions::Inject(), &cube);
+      for (rid_t bar = 0; bar < bars.num_rows(); bar += step) {
+        SCOPED_TRACE("view " + std::to_string(v) + " bar " +
+                     std::to_string(bar) + " target " + std::to_string(w));
+        const auto& sel = data.column(static_cast<size_t>(dims[v])).ints();
+        const auto& tgt = data.column(static_cast<size_t>(dims[w])).ints();
+        std::map<int64_t, int64_t> want;
+        for (size_t r = 0; r < data.num_rows(); ++r) {
+          if (sel[r] == bars.column(0).ints()[bar]) ++want[tgt[r]];
+        }
+
+        TraceSource src = TraceSource::FromPlan(views[v]->result, "view");
+        src.query = &views[v]->query;
+        TraceSource cube_src = TraceSource::FromPlan(cube, "cube");
+        for (auto [s, strategy] :
+             {std::pair{src, TraceStrategy::kLazy},
+              std::pair{src, TraceStrategy::kIndexed},
+              std::pair{cube_src, TraceStrategy::kCube}}) {
+          PlanResult pr;
+          ASSERT_TRUE(TraceBuilder::Backward(s, "ontime", {bar})
+                          .GroupBy(GroupExpr::Raw(dims[w], "bin"))
+                          .Agg(AggSpec::Count("cnt"))
+                          .Strategy(strategy)
+                          .Execute(CaptureOptions::None(), &pr)
+                          .ok());
+          EXPECT_EQ(as_map(pr.output), want) << TraceStrategyName(strategy);
+        }
+
+        // BT+FT: the linked-brush kernels count forward edges per bar.
+        std::vector<rid_t> seeds;
+        ASSERT_TRUE(BrushSeeds(views[v]->result, "view", bar, "ontime", &seeds)
+                        .ok());
+        LinkedBrush linked;
+        ASSERT_TRUE(LinkBrushSeeds(seeds, "ontime", views[w]->result, "target",
+                                   &linked)
+                        .ok());
+        std::map<int64_t, int64_t> got;
+        for (size_t i = 0; i < linked.rids.size(); ++i) {
+          got[views[w]->result.output.column(0).ints()[linked.rids[i]]] =
+              linked.counts[i];
+        }
+        EXPECT_EQ(got, want) << "BT+FT";
+      }
+    }
   }
 }
 
